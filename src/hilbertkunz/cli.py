@@ -47,12 +47,12 @@ from .analysis import (
 )
 from .errors import (
     HilbertKunzError,
-    MatrixTooLarge,
     ResourceLimit,
     SemanticError,
 )
 from .groebner import FreeElement
-from .oracle import oracle_length
+# ORACLE_EXTRA_DEGREES is re-exported for callers that bound their own walk
+from .oracle import ORACLE_EXTRA_DEGREES, stable_length  # noqa: F401
 from .poly import parse_polynomial
 from .presentations import (
     RingSpec,
@@ -64,9 +64,6 @@ from .presentations import (
     ring_spec,
 )
 from .problemfile import ProblemFile, parse_problem
-
-# oracle-check walks the degree bound upward; stop after this many raises
-ORACLE_EXTRA_DEGREES = 60
 
 
 def _frac(x: Fraction) -> str:
@@ -333,41 +330,23 @@ def run_problem(
             report["samples"] = [
                 {"n": n, "q": str(q), "length": str(engine)}
             ]
-            gens = frobenius_relations(module, ideal, n)
-            start = max(
-                (sum(e) for g in gens for c in g.components
-                 for e, _ in c.terms),
-                default=1,
+            walk = stable_length(
+                frobenius_relations(module, ideal, n), module.rank, pf.p
             )
-            start = max(start, 1)
-            degree = start
-            count = None
-            stable = False
-            used_degree = None
-            while True:
-                try:
-                    count, stable = oracle_length(
-                        gens, module.rank, pf.p, degree
-                    )
-                except MatrixTooLarge as exc:
-                    warnings.append(f"oracle stopped at degree {degree}: {exc}")
-                    break
-                used_degree = degree
-                if stable:
-                    break
-                if degree >= start + ORACLE_EXTRA_DEGREES:
-                    warnings.append(
-                        f"oracle count never stabilized by degree {degree}"
-                    )
-                    break
-                degree += 1
+            count = walk.count
+            if walk.stopped is not None:
+                warnings.append(walk.stopped)
+            elif not walk.stable:
+                warnings.append(
+                    f"oracle count never stabilized by degree {walk.degree}"
+                )
             report["analysis"] = {
                 "n": n,
                 "q": str(q),
                 "engine_length": str(engine),
                 "oracle_count": None if count is None else str(count),
-                "degree_bound": used_degree,
-                "stable": stable,
+                "degree_bound": walk.degree,
+                "stable": walk.stable,
                 "agree": None if count is None else count == engine,
             }
         else:

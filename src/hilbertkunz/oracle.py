@@ -2,21 +2,23 @@
 
 Builds the Macaulay-style matrix of all generator multiples up to a degree
 bound and counts monomials outside the column span. Exists to validate the
-Groebner pipeline on small instances, not to be fast.
+Groebner pipeline on small instances, not to be fast. Elimination is pure
+Python: int bitsets over F_2, sparse {row: coefficient} columns over odd p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import HilbertKunzError, MatrixTooLarge
 from .poly import Exponents, Polynomial
 
 DEFAULT_CELL_CAP = 50_000_000
 MAX_COLUMNS = 50_000
+# stable_length raises the degree bound at most this many times
+ORACLE_EXTRA_DEGREES = 60
 
 
 def monomials_up_to(nvars: int, degree: int) -> list[Exponents]:
@@ -47,6 +49,18 @@ def _components(element, rank: int) -> tuple[Polynomial, ...]:
     return comps
 
 
+def _nonzero_relations(relations, rank: int, p: int):
+    """The nonzero relations as component tuples, and their variable count."""
+    rels = [_components(g, rank) for g in relations]
+    rels = [comps for comps in rels if any(c.terms for c in comps)]
+    if not rels:
+        raise HilbertKunzError("no nonzero relations given")
+    ring = next(c.ring for comps in rels for c in comps)
+    if ring.p != p:
+        raise HilbertKunzError(f"relations live over p={ring.p}, not {p}")
+    return rels, ring.nvars
+
+
 @dataclass
 class MacaulaySystem:
     """One bounded-degree system: row basis, columns, and the resulting count."""
@@ -58,7 +72,40 @@ class MacaulaySystem:
     count: int
 
 
+def _columns(rels, multipliers, row_index, cell_cap: int) -> list[dict[int, int]]:
+    """One {row: coefficient} column per relation and multiplier u: the
+    multiple u * relation written in the rows of row_index.
+
+    multipliers[k] lists the multipliers of rels[k]. A term whose monomial
+    has no row is dropped; that is the box filter of exact_box_count, and
+    never happens in build_system, whose multipliers keep every term within
+    the degree bound. Distinct terms of a relation shift to distinct rows.
+    """
+    n_rows = len(row_index)
+    n_cols = sum(len(mults) for mults in multipliers)
+    if n_cols > MAX_COLUMNS or n_rows * n_cols > cell_cap:
+        raise MatrixTooLarge(
+            f"{n_rows} x {n_cols} exceeds the configured oracle limits"
+        )
+    cols = []
+    for comps, mults in zip(rels, multipliers):
+        entries = [
+            (j, e, c)
+            for j, poly in enumerate(comps)
+            for e, c in poly.terms
+        ]
+        for u in mults:
+            col = {}
+            for j, e, c in entries:
+                row = row_index.get((j, tuple(a + b for a, b in zip(e, u))))
+                if row is not None:
+                    col[row] = c
+            cols.append(col)
+    return cols
+
+
 def _rank_gf2(columns: list[int]) -> int:
+    """Rank over F_2 of columns given as int bitsets (bit r = row r)."""
     pivots: dict[int, int] = {}
     for col in columns:
         while col:
@@ -71,94 +118,57 @@ def _rank_gf2(columns: list[int]) -> int:
     return len(pivots)
 
 
-def _rank_gfp(columns: list[np.ndarray], p: int) -> int:
-    pivots: dict[int, np.ndarray] = {}
+def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse {row: coefficient} columns, pivoting on each
+    column's top row. Coefficients lie in [1, p); stored pivot columns are
+    scaled to 1 at their pivot."""
+    pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        col = col.copy()
-        while True:
-            nz = np.nonzero(col)[0]
-            if len(nz) == 0:
+        col = dict(col)
+        while col:
+            top = max(col)
+            pivot = pivots.get(top)
+            if pivot is None:
+                inv = pow(col[top], p - 2, p)
+                pivots[top] = {r: c * inv % p for r, c in col.items()}
                 break
-            top = int(nz[0])
-            if top in pivots:
-                col = (col - int(col[top]) * pivots[top]) % p
-            else:
-                inv = pow(int(col[top]), p - 2, p)
-                pivots[top] = (col * inv) % p
-                break
+            f = col[top]
+            for r, c in pivot.items():
+                v = (col.get(r, 0) - f * c) % p
+                if v:
+                    col[r] = v
+                else:
+                    # f * c is nonzero, so v == 0 means r was present
+                    del col[r]
     return len(pivots)
+
+
+def _rank(columns: list[dict[int, int]], p: int) -> int:
+    if p == 2:
+        return _rank_gf2([sum(1 << r for r in col) for col in columns])
+    return _rank_gfp(columns, p)
 
 
 def build_system(
     relations, rank: int, p: int, degree_bound: int, cell_cap: int = DEFAULT_CELL_CAP
 ) -> MacaulaySystem:
     """Assemble and eliminate the degree-bounded system once."""
-    rels = [_components(g, rank) for g in relations]
-    rels = [comps for comps in rels if any(c.terms for c in comps)]
-    if not rels:
-        raise HilbertKunzError("no nonzero relations given")
-    ring = next(c.ring for comps in rels for c in comps)
-    if ring.p != p:
-        raise HilbertKunzError(f"relations live over p={ring.p}, not {p}")
-    v = ring.nvars
-
+    rels, v = _nonzero_relations(relations, rank, p)
     # a generator of degree above the bound gets no multipliers at all
     degs = [
         max(sum(e) for c in comps for e, _ in c.terms) for comps in rels
     ]
+    mults = {d: monomials_up_to(v, degree_bound - d) for d in set(degs)}
 
-    basis = monomials_up_to(v, degree_bound)
     row_index = {}
     for j in range(rank):
-        for m in basis:
+        for m in monomials_up_to(v, degree_bound):
             row_index[(j, m)] = len(row_index)
     n_rows = len(row_index)
 
-    n_cols = 0
-    multipliers = {}
-    for d in set(degs):
-        multipliers[d] = monomials_up_to(v, degree_bound - d)
-    for d in degs:
-        n_cols += len(multipliers[d])
-    if n_cols > MAX_COLUMNS or n_rows * n_cols > cell_cap:
-        raise MatrixTooLarge(
-            f"{n_rows} x {n_cols} exceeds the configured oracle limits"
-        )
-
-    if p == 2:
-        cols2 = []
-        for comps, d in zip(rels, degs):
-            entries = [
-                (j, e, c)
-                for j, poly in enumerate(comps)
-                for e, c in poly.terms
-            ]
-            for u in multipliers[d]:
-                col = 0
-                for j, e, c in entries:
-                    shifted = tuple(a + b for a, b in zip(e, u))
-                    col ^= 1 << row_index[(j, shifted)]
-                cols2.append(col)
-        rk = _rank_gf2(cols2)
-    else:
-        colsp = []
-        for comps, d in zip(rels, degs):
-            entries = [
-                (j, e, c)
-                for j, poly in enumerate(comps)
-                for e, c in poly.terms
-            ]
-            for u in multipliers[d]:
-                col = np.zeros(n_rows, dtype=np.int64)
-                for j, e, c in entries:
-                    shifted = tuple(a + b for a, b in zip(e, u))
-                    col[row_index[(j, shifted)]] = (
-                        col[row_index[(j, shifted)]] + c
-                    ) % p
-                colsp.append(col)
-        rk = _rank_gfp(colsp, p)
-
-    return MacaulaySystem(degree_bound, n_rows, n_cols, rk, n_rows - rk)
+    cols = _columns(rels, [mults[d] for d in degs], row_index, cell_cap)
+    rk = _rank(cols, p)
+    return MacaulaySystem(degree_bound, n_rows, len(cols), rk, n_rows - rk)
 
 
 def _pure_power_box(relations, rank: int):
@@ -197,14 +207,7 @@ def exact_box_count(
     the image of the submodule in V is spanned by the box-bounded multiples
     alone. The count dim V - rank is exact, not a degree-truncated bound.
     """
-    rels = [_components(g, rank) for g in relations]
-    rels = [comps for comps in rels if any(c.terms for c in comps)]
-    if not rels:
-        raise HilbertKunzError("no nonzero relations given")
-    ring = next(c.ring for comps in rels for c in comps)
-    if ring.p != p:
-        raise HilbertKunzError(f"relations live over p={ring.p}, not {p}")
-    v = ring.nvars
+    rels, v = _nonzero_relations(relations, rank, p)
     box = _pure_power_box(relations, rank)
     if box is None:
         raise HilbertKunzError(
@@ -216,48 +219,25 @@ def exact_box_count(
     for j in range(rank):
         for m in product(*[range(b) for b in box[j]]):
             row_index[(j, m)] = len(row_index)
-    n_rows = len(row_index)
     maxb = [max(box[j][i] for j in range(rank)) for i in range(v)]
     mults = list(product(*[range(b) for b in maxb]))
-    n_cols = len(rels) * len(mults)
-    if n_cols > MAX_COLUMNS or n_rows * n_cols > cell_cap:
-        raise MatrixTooLarge(
-            f"{n_rows} x {n_cols} exceeds the configured oracle limits"
-        )
 
-    def entries_of(comps):
-        return [
-            (j, e, c)
-            for j, poly in enumerate(comps)
-            for e, c in poly.terms
-        ]
+    cols = _columns(rels, [mults] * len(rels), row_index, cell_cap)
+    return len(row_index) - _rank(cols, p)
 
-    if p == 2:
-        cols2 = []
-        for comps in rels:
-            entries = entries_of(comps)
-            for u in mults:
-                col = 0
-                for j, e, c in entries:
-                    shifted = tuple(a + b for a, b in zip(e, u))
-                    if all(s < b for s, b in zip(shifted, box[j])):
-                        col ^= 1 << row_index[(j, shifted)]
-                cols2.append(col)
-        rk = _rank_gf2(cols2)
-    else:
-        colsp = []
-        for comps in rels:
-            entries = entries_of(comps)
-            for u in mults:
-                col = np.zeros(n_rows, dtype=np.int64)
-                for j, e, c in entries:
-                    shifted = tuple(a + b for a, b in zip(e, u))
-                    if all(s < b for s, b in zip(shifted, box[j])):
-                        idx = row_index[(j, shifted)]
-                        col[idx] = (col[idx] + c) % p
-                colsp.append(col)
-        rk = _rank_gfp(colsp, p)
-    return n_rows - rk
+
+def _certified(
+    relations, rank: int, p: int, degree_bound: int, count: int,
+    prev_count: int | None, cell_cap: int,
+) -> bool:
+    """oracle_length's certificate for `count` at `degree_bound`, given the
+    count at degree_bound - 1 (None below degree 0)."""
+    if count != prev_count:
+        return False
+    box = _pure_power_box(relations, rank)
+    if box is None or any(b > degree_bound for row in box for b in row):
+        return False
+    return count == exact_box_count(relations, rank, p, cell_cap)
 
 
 def oracle_length(
@@ -278,14 +258,59 @@ def oracle_length(
     lie (cancellation can resurface many degrees later), so the certificate
     is checked against the exact value, never inferred from the plateau.
     """
-    sys_d = build_system(relations, rank, p, degree_bound, cell_cap)
-    prev_matches = False
+    count = build_system(relations, rank, p, degree_bound, cell_cap).count
+    prev_count = None
     if degree_bound >= 1:
-        sys_prev = build_system(relations, rank, p, degree_bound - 1, cell_cap)
-        prev_matches = sys_d.count == sys_prev.count
-    stable = False
-    if prev_matches:
-        box = _pure_power_box(relations, rank)
-        if box is not None and all(b <= degree_bound for row in box for b in row):
-            stable = sys_d.count == exact_box_count(relations, rank, p, cell_cap)
-    return sys_d.count, stable
+        prev_count = build_system(
+            relations, rank, p, degree_bound - 1, cell_cap
+        ).count
+    stable = _certified(
+        relations, rank, p, degree_bound, count, prev_count, cell_cap
+    )
+    return count, stable
+
+
+class StableLength(NamedTuple):
+    """Outcome of the degree walk: the last completed count and its bound
+    (None when the first bound already tripped a cap), whether oracle_length
+    would certify it, and the warning text when a cap ended the walk."""
+
+    count: int | None
+    stable: bool
+    degree: int | None
+    stopped: str | None
+
+
+def stable_length(
+    relations, rank: int, p: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> StableLength:
+    """Raise the degree bound from the largest generator degree (at least
+    1) until the certificate holds, at most ORACLE_EXTRA_DEGREES times.
+
+    Agrees with calling oracle_length at each bound in turn, but builds each
+    bound's system once. A cap (MatrixTooLarge) ends the walk with the last
+    completed count, uncertified.
+    """
+    start = max(
+        (sum(e) for g in relations for c in _components(g, rank)
+         for e, _ in c.terms),
+        default=1,
+    )
+    start = max(start, 1)
+    count = degree = prev_count = None
+    try:
+        for d in range(start, start + ORACLE_EXTRA_DEGREES + 1):
+            current = build_system(relations, rank, p, d, cell_cap).count
+            if prev_count is None:
+                prev_count = build_system(
+                    relations, rank, p, d - 1, cell_cap
+                ).count
+            if _certified(relations, rank, p, d, current, prev_count, cell_cap):
+                return StableLength(current, True, d, None)
+            count = prev_count = current
+            degree = d
+    except MatrixTooLarge as exc:
+        return StableLength(
+            count, False, degree, f"oracle stopped at degree {d}: {exc}"
+        )
+    return StableLength(count, False, degree, None)

@@ -8,8 +8,7 @@ import pytest
 
 import hilbertkunz as hk
 from hilbertkunz.cli import run_problem
-from hilbertkunz.errors import MatrixTooLarge
-from hilbertkunz.oracle import oracle_length
+from hilbertkunz.oracle import stable_length
 from hilbertkunz.problemfile import parse_problem
 
 CORPUS = Path(hk.__file__).parent / "corpus"
@@ -32,21 +31,6 @@ def corpus_report():
         return cache[key]
 
     return get
-
-
-def oracle_stable_count(relations, rank: int, p: int) -> int:
-    """Walk the degree bound upward until the dense count stabilizes."""
-    start = max(
-        (sum(e) for g in relations for c in g.components for e, _ in c.terms),
-        default=1,
-    )
-    degree = max(start, 1)
-    for _ in range(80):
-        count, stable = oracle_length(relations, rank, p, degree)
-        if stable:
-            return count
-        degree += 1
-    raise AssertionError(f"oracle count never stabilized (degree {degree})")
 
 
 def random_polynomial(rng: random.Random, S, max_degree=3, max_terms=3):
@@ -111,10 +95,11 @@ def run_cross_check(seed: int, count: int) -> int:
         rs, ideal, module, n = random_instance(rng)
         engine = hk.length_mod_frobenius(module, ideal, n)
         relations = hk.frobenius_relations(module, ideal, n)
-        try:
-            oracle = oracle_stable_count(relations, module.rank, rs.p)
-        except MatrixTooLarge:
-            continue
+        walk = stable_length(relations, module.rank, rs.p)
+        if walk.stopped is not None:
+            continue  # a matrix cap ended the walk: too large to cross-check
+        assert walk.stable, f"oracle count never stabilized ({walk.degree})"
+        oracle = walk.count
         assert oracle == engine, (
             f"engine {engine} != oracle {oracle} for p={rs.p}, n={n}, "
             f"ideal={[str(g) for g in ideal.generators]}, "

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import hilbertkunz as hk
 
-from conftest import corpus_report, load_problem, run_cross_check  # noqa: F401
+from conftest import run_cross_check
 
 F = Fraction
 

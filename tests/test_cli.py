@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilbertkunz
 from hilbertkunz.cli import main, run_problem, to_csv, to_json
 
 from conftest import CORPUS, load_problem
@@ -242,3 +247,17 @@ def test_main_oracle_check_on_quotient_ring(tmp_path, capsys):
     assert code == 0
     assert report["analysis"]["engine_length"] == "4"
     assert report["analysis"]["agree"] is True
+
+
+def test_cli_import_pulls_in_no_numpy():
+    """The package has no runtime dependencies; numpy in particular."""
+    src = str(Path(hilbertkunz.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = "import sys, hilbertkunz.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,20 +1,43 @@
-"""Dense-matrix length oracle: counts, stability certificate, caps."""
+"""Bounded-degree length oracle: counts, stability certificate, caps, the
+degree walk, and the two rank routines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertkunz.errors import HilbertKunzError, MatrixTooLarge
 from hilbertkunz.groebner import FreeElement
 from hilbertkunz.oracle import (
+    ORACLE_EXTRA_DEGREES,
+    _rank_gf2,
+    _rank_gfp,
     build_system,
     exact_box_count,
     monomials_up_to,
     oracle_length,
+    stable_length,
 )
 from hilbertkunz.poly import parse_polynomial, ring
 
 
 def polys(S, *texts):
     return [parse_polynomial(t, S) for t in texts]
+
+
+def determinantal_point():
+    """The 2x3 minors plus all squares over F_2; generator degree 2."""
+    S = ring("u v w x y z", 2)
+    return polys(
+        S,
+        "v*z + w*y", "w*x + u*z", "u*y + v*x",
+        "u^2", "v^2", "w^2", "x^2", "y^2", "z^2",
+    )
+
+
+def unit_ideal():
+    """1 = (x^2+1)^2 + x^4 over F_2; generator degree 6."""
+    S = ring("x y", 2)
+    return polys(S, "x^4", "y^6", "x^2*y^4 + x^2 + 1", "x^2*y^2")
 
 
 def test_monomials_up_to():
@@ -40,12 +63,7 @@ def test_quintic_collapses_into_the_box():
 
 
 def test_determinantal_point():
-    S = ring("u v w x y z", 2)
-    gens = polys(
-        S,
-        "v*z + w*y", "w*x + u*z", "u*y + v*x",
-        "u^2", "v^2", "w^2", "x^2", "y^2", "z^2",
-    )
+    gens = determinantal_point()
     count, stable = oracle_length(gens, 1, 2, 7)
     assert (count, stable) == (23, True)
     assert exact_box_count(gens, 1, 2) == 23
@@ -68,9 +86,8 @@ def test_counts_non_increasing_in_degree():
 def test_plateau_alone_does_not_certify():
     """The count can sit still for one degree and then keep falling; the
     certificate must not fire until the true value is reached. Here the
-    ideal is the unit ideal: 1 = (x^2+1)^2 + x^4 over F_2."""
-    S = ring("x y", 2)
-    gens = polys(S, "x^4", "y^6", "x^2*y^4 + x^2 + 1", "x^2*y^2")
+    ideal is the unit ideal."""
+    gens = unit_ideal()
     assert exact_box_count(gens, 1, 2) == 0
     seen_false_plateau = False
     prev = None
@@ -139,3 +156,82 @@ def test_zero_rows_are_ignored():
     assert oracle_length(gens, 1, 2, 4) == (4, True)
     with pytest.raises(HilbertKunzError, match="no nonzero relations"):
         oracle_length([S.zero()], 1, 2, 3)
+
+
+@pytest.mark.parametrize("gens, start", [(unit_ideal(), 6), (determinantal_point(), 2)])
+def test_walk_matches_per_degree_certificate(gens, start):
+    """The walk stops at the first bound where oracle_length certifies."""
+    for degree in range(start, start + ORACLE_EXTRA_DEGREES + 1):
+        count, stable = oracle_length(gens, 1, 2, degree)
+        if stable:
+            break
+    assert stable
+    assert stable_length(gens, 1, 2) == (count, True, degree, None)
+
+
+def test_walk_keeps_last_count_when_a_cap_trips():
+    gens = unit_ideal()  # certified only at degree 13
+    system = build_system(gens, 1, 2, 10)
+    walk = stable_length(gens, 1, 2, cell_cap=system.n_rows * system.n_cols)
+    assert walk[:3] == (system.count, False, 10)
+    assert walk.stopped.startswith("oracle stopped at degree 11: ")
+
+
+def test_walk_reports_a_cap_at_the_first_degree():
+    S = ring("x y z", 2)
+    walk = stable_length(polys(S, "x^2", "y^2", "z^2"), 1, 2, cell_cap=10)
+    assert walk[:3] == (None, False, None)
+    assert walk.stopped.startswith("oracle stopped at degree 2: ")
+
+
+def reference_rank(columns, p):
+    """Plain row reduction of the matrix whose rows are the columns."""
+    rows = [list(col) for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def column_sets(draw):
+    """Dense columns over F_p, with zero columns and linear combinations of
+    earlier columns mixed in so that some reduce to zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n_rows = draw(st.integers(1, 8))
+    entry = st.integers(0, p - 1)
+    columns = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "random" or (kind == "combination" and not columns):
+            columns.append(draw(st.lists(entry, min_size=n_rows, max_size=n_rows)))
+        elif kind == "zero":
+            columns.append([0] * n_rows)
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(columns), max_size=len(columns)))
+            columns.append([
+                sum(f * col[r] for f, col in zip(coeffs, columns)) % p
+                for r in range(n_rows)
+            ])
+    return p, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_rank_routines_match_row_reduction(case):
+    p, columns = case
+    expected = reference_rank(columns, p)
+    sparse = [{r: c for r, c in enumerate(col) if c} for col in columns]
+    assert _rank_gfp(sparse, p) == expected
+    if p == 2:
+        bitsets = [sum(1 << r for r in col) for col in sparse]
+        assert _rank_gf2(bitsets) == expected
