@@ -11,7 +11,6 @@ when callers format output.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,7 +71,6 @@ class ExactSequenceSpec:
 
     ambient: ModulePresentation
     generators: tuple[FreeElement, ...]
-    declared_ranks: tuple[int | None, int | None, int | None] = (None, None, None)
 
     def __post_init__(self):
         for g in self.generators:
@@ -186,15 +184,14 @@ def sample_hk(
     n_min: int,
     n_max: int,
     dim: int | None = None,
-    threads: int = 1,
     max_seconds: float | None = None,
     max_basis: int = DEFAULT_MAX_BASIS,
 ) -> HKSeries:
-    """Sample the length function for n_min..n_max.
+    """Sample the length function for n_min..n_max, one n after another.
 
-    Each n is an independent computation, fanned out across threads. A
-    per-sample time budget turns into a truncated series: the first failed n
-    drops itself and everything after it, with a note on the series.
+    Each n is an independent computation. A per-sample time budget turns
+    into a truncated series: the first failed n drops itself and everything
+    after it, with a note on the series.
     """
     if n_min > n_max:
         raise SampleMismatch("empty sample range")
@@ -214,22 +211,12 @@ def sample_hk(
         return HKSample(n, p**n, value, seconds=time.monotonic() - t0)
 
     results: dict[int, HKSample | None] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(one, n) for n in ns}
-            for n, fut in futures.items():
-                try:
-                    results[n] = fut.result()
-                except ResourceLimit as exc:
-                    results[n] = None
-                    notes.append(f"sample n={n} skipped: {exc}")
-    else:
-        for n in ns:
-            try:
-                results[n] = one(n)
-            except ResourceLimit as exc:
-                results[n] = None
-                notes.append(f"sample n={n} skipped: {exc}")
+    for n in ns:
+        try:
+            results[n] = one(n)
+        except ResourceLimit as exc:
+            results[n] = None
+            notes.append(f"sample n={n} skipped: {exc}")
     samples = []
     for n in ns:
         if results[n] is None:
@@ -337,32 +324,29 @@ def detect_periodic_tail(
 def fit_geometric_tail(series: HKSeries) -> GeometricTail | None:
     """Fit length_n = a*q^d + c*r^n exactly with integer 2 <= r < p^d.
 
-    Solves a, c on the first two samples for each candidate r and accepts
-    the smallest r reproducing every remaining sample; needs a spare sample,
-    so at least three. The ratio p^d itself is excluded (that shape is the
-    polynomial fit's job), as is c = 0.
+    That shape makes D_n = length_{n+1} - p^d*length_n equal
+    c*r^n*(r - p^d), so r = D_1/D_0 is the only candidate, and D_0 gives c
+    (nonzero exactly when D_0 is). The fit is accepted only if every sample
+    is reproduced; three samples are needed, so that one is spare. The
+    ratio p^d itself is excluded (that shape is the polynomial fit's job).
     """
     samples = series.samples
-    if len(samples) < 3:
-        return None
     d = series.d
+    if len(samples) < 3 or d < 1:
+        return None
     pd = series.p**d
-    s1, s2 = samples[0], samples[1]
-    for r in range(2, pd):
-        det = Fraction(s1.q) ** d * r**s2.n - Fraction(s2.q) ** d * r**s1.n
-        if det == 0:
-            continue
-        a = (Fraction(s1.length) * r**s2.n - Fraction(s2.length) * r**s1.n) / det
-        c = (
-            Fraction(s2.length) * Fraction(s1.q) ** d
-            - Fraction(s1.length) * Fraction(s2.q) ** d
-        ) / det
-        if c == 0:
-            continue
-        if all(
-            a * Fraction(s.q) ** d + c * r**s.n == s.length for s in samples[2:]
-        ):
-            return GeometricTail(a, c, r)
+    l0, l1, l2 = (s.length for s in samples[:3])
+    d0, d1 = l1 - pd * l0, l2 - pd * l1
+    if d0 == 0 or d1 % d0:
+        return None
+    r = d1 // d0
+    if not 2 <= r < pd:
+        return None
+    n0 = samples[0].n
+    c = Fraction(d0, r**n0 * (r - pd))
+    a = (l0 - c * r**n0) / Fraction(samples[0].q) ** d
+    if all(a * Fraction(s.q) ** d + c * r**s.n == s.length for s in samples):
+        return GeometricTail(a, c, r)
     return None
 
 
@@ -558,7 +542,6 @@ def additive_error(
     n_min: int,
     n_max: int,
     dim: int | None = None,
-    threads: int = 1,
     max_seconds: float | None = None,
 ) -> AdditiveErrorReport:
     """e_n = phi_n(M/N) - phi_n(M) + phi_n(N) for 0 -> N -> M -> M/N -> 0.
@@ -570,7 +553,7 @@ def additive_error(
     rs = ambient.ringspec
     sub = present_submodule(ambient, list(seq.generators))
     quot = quotient_presentation(ambient, list(seq.generators))
-    kw = dict(dim=dim, threads=threads, max_seconds=max_seconds)
+    kw = dict(dim=dim, max_seconds=max_seconds)
     ser_sub = sample_hk(rs, ideal, sub, n_min, n_max, **kw)
     ser_amb = sample_hk(rs, ideal, ambient, n_min, n_max, **kw)
     ser_quo = sample_hk(rs, ideal, quot, n_min, n_max, **kw)

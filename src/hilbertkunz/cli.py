@@ -214,7 +214,6 @@ def run_problem(
     subcommand: str,
     pf: ProblemFile,
     order: str = "grevlex",
-    threads: int = 1,
     n_max_seconds: float | None = None,
     period_max: int = DEFAULT_PERIOD_MAX,
 ) -> dict:
@@ -225,7 +224,6 @@ def run_problem(
             "subcommand": subcommand,
             "problem": _problem_echo(pf),
             "order": order,
-            "threads": threads,
             "engine": f"hilbertkunz {__version__}",
         },
         "samples": [],
@@ -241,7 +239,7 @@ def run_problem(
             rs, ideal, module = _build(pf, order)
             series = sample_hk(
                 rs, ideal, module, pf.n_min, pf.n_max,
-                dim=pf.dim, threads=threads, max_seconds=n_max_seconds,
+                dim=pf.dim, max_seconds=n_max_seconds,
             )
             _require_samples(series)
             report["samples"] = _sample_rows(series)
@@ -261,11 +259,11 @@ def run_problem(
             rs, ideal, module = _build(pf, order)
             series_m = sample_hk(
                 rs, ideal, module, pf.n_min, pf.n_max,
-                dim=pf.dim, threads=threads, max_seconds=n_max_seconds,
+                dim=pf.dim, max_seconds=n_max_seconds,
             )
             series_r = sample_hk(
                 rs, ideal, free_module(rs, 1), pf.n_min, pf.n_max,
-                dim=pf.dim, threads=threads, max_seconds=n_max_seconds,
+                dim=pf.dim, max_seconds=n_max_seconds,
             )
             count = min(len(series_m.samples), len(series_r.samples))
             series_m = _truncate(series_m, count)
@@ -294,7 +292,7 @@ def run_problem(
             seq = ExactSequenceSpec(module, tuple(gens))
             rep = additive_error(
                 seq, ideal, pf.n_min, pf.n_max,
-                dim=pf.dim, threads=threads, max_seconds=n_max_seconds,
+                dim=pf.dim, max_seconds=n_max_seconds,
             )
             ser_sub, ser_amb, ser_quo = rep.series
             count = len(rep.rows)
@@ -330,8 +328,12 @@ def run_problem(
             report["samples"] = [
                 {"n": n, "q": str(q), "length": str(engine)}
             ]
+            deadline = None
+            if n_max_seconds is not None:
+                deadline = time.monotonic() + n_max_seconds
             walk = stable_length(
-                frobenius_relations(module, ideal, n), module.rank, pf.p
+                frobenius_relations(module, ideal, n), module.rank, pf.p,
+                deadline=deadline,
             )
             count = walk.count
             if walk.stopped is not None:
@@ -386,7 +388,7 @@ def to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _error_report(subcommand: str, path: str, order: str, threads: int,
+def _error_report(subcommand: str, path: str, order: str,
                   exc: Exception) -> dict:
     kind = type(exc).__name__ if isinstance(exc, HilbertKunzError) else "IOError"
     return {
@@ -394,7 +396,6 @@ def _error_report(subcommand: str, path: str, order: str, threads: int,
             "subcommand": subcommand,
             "problem": {"path": path},
             "order": order,
-            "threads": threads,
             "engine": f"hilbertkunz {__version__}",
         },
         "samples": [],
@@ -426,10 +427,6 @@ def _parser() -> argparse.ArgumentParser:
             help="monomial order used by the engine (default grevlex)",
         )
         sp.add_argument(
-            "--threads", type=int, default=1,
-            help="sample different n in parallel (default 1)",
-        )
-        sp.add_argument(
             "--n-max-seconds", type=float, default=None, dest="n_max_seconds",
             metavar="SECONDS",
             help="per-sample time budget; samples over budget are skipped "
@@ -450,14 +447,13 @@ def main(argv=None) -> int:
         pf = parse_problem(text)
     except (OSError, HilbertKunzError) as exc:
         report = _error_report(
-            args.subcommand, args.problem, args.order, args.threads, exc
+            args.subcommand, args.problem, args.order, exc
         )
     if report is None:
         report = run_problem(
             args.subcommand,
             pf,
             order=args.order,
-            threads=args.threads,
             n_max_seconds=args.n_max_seconds,
         )
     if args.fmt == "json":

@@ -5,10 +5,6 @@ class HilbertKunzError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DivisionByZero(HilbertKunzError, ZeroDivisionError):
-    """Inversion of 0 in a prime field."""
-
-
 class RingMismatch(HilbertKunzError):
     """Operands live over different primes, variable lists, or orders."""
 

@@ -2,7 +2,9 @@
 
 Everything below works on one uniform representation: a term is a
 (component, exponents) pair, an element is a list of terms with precomputed
-order keys, sorted leading-first. Rank 1 recovers the ideal case. Keys obey
+order keys, sorted leading-first. Rank 1 recovers the ideal case. There is
+one module order: position over term, so the earlier component is larger
+and the ring's monomial order breaks ties. Keys obey
 key(m*t) == mult_key(m) + key(t) componentwise, which lets reductions derive
 keys by tuple addition instead of recomputing them.
 """
@@ -32,47 +34,14 @@ from .poly import (
     monomial_lcm,
 )
 
-POSITION_OVER_TERM = "position"
-TERM_OVER_POSITION = "term"
-
 DEFAULT_MAX_BASIS = 200_000
 COUNT_NODE_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Order on (monomial, component) pairs.
-
-    scheme 'position': component precedence decides first (earlier component
-    in the precedence list is larger), monomial order breaks ties. scheme
-    'term': monomial order decides first. Keys sort smaller-is-leading, like
-    MonomialOrder keys.
-    """
-
-    base: MonomialOrder
-    scheme: str = POSITION_OVER_TERM
-    position_precedence: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.scheme not in (POSITION_OVER_TERM, TERM_OVER_POSITION):
-            raise HilbertKunzError(f"unknown module order scheme {self.scheme!r}")
-        if self.position_precedence is not None and sorted(
-            self.position_precedence
-        ) != list(range(len(self.position_precedence))):
-            raise HilbertKunzError("position precedence must be a permutation")
-
-    def component_rank(self, rank: int) -> list[int]:
-        prec = self.position_precedence or tuple(range(rank))
-        if len(prec) != rank:
-            raise RankMismatch("position precedence does not match rank")
-        ranks = [0] * rank
-        for where, comp in enumerate(prec):
-            ranks[comp] = where
-        return ranks
-
-
-def default_module_order(ring: PolyRing, rank: int = 1) -> ModuleOrder:
-    return ModuleOrder(ring.order, POSITION_OVER_TERM, tuple(range(rank)))
+def default_module_order(ring: PolyRing, rank: int = 1) -> MonomialOrder:
+    """The monomial order the engine pairs with position over term: the
+    ring's own. The same for every rank."""
+    return ring.order
 
 
 class FreeElement:
@@ -150,13 +119,12 @@ def unit_vector(ring: PolyRing, rank: int, j: int, poly: Polynomial | None = Non
 @dataclass(frozen=True)
 class GroebnerBasis:
     elements: tuple[FreeElement, ...]
-    order: ModuleOrder
+    order: MonomialOrder
     rank: int
     ring: PolyRing
-    reduced: bool = True
 
     def leading_terms(self) -> list[tuple[int, Exponents]]:
-        keyed = _keyfuncs(self.order, self.ring, self.rank)
+        keyed = _Keyed(self.ring, self.rank)
         out = []
         for e in self.elements:
             terms = _element_terms(e, keyed)
@@ -168,33 +136,20 @@ class GroebnerBasis:
 
 
 class _Keyed:
-    """Key builders for one (order, ring, rank) combination."""
+    """Position-over-term key builders for one (ring, rank) combination."""
 
-    __slots__ = ("order", "ring", "rank", "ranks", "scheme", "base")
+    __slots__ = ("ring", "rank", "base")
 
-    def __init__(self, order: ModuleOrder, ring: PolyRing, rank: int):
-        self.order = order
+    def __init__(self, ring: PolyRing, rank: int):
         self.ring = ring
         self.rank = rank
-        self.ranks = order.component_rank(rank)
-        self.scheme = order.scheme
-        self.base = order.base
+        self.base = ring.order
 
     def term_key(self, comp: int, exps: Exponents):
-        mk = self.base.key(exps)
-        if self.scheme == POSITION_OVER_TERM:
-            return (self.ranks[comp], *mk)
-        return (*mk, self.ranks[comp])
+        return (comp, *self.base.key(exps))
 
     def mult_key(self, exps: Exponents):
-        mk = self.base.key(exps)
-        if self.scheme == POSITION_OVER_TERM:
-            return (0, *mk)
-        return (*mk, 0)
-
-
-def _keyfuncs(order: ModuleOrder, ring: PolyRing, rank: int) -> _Keyed:
-    return _Keyed(order, ring, rank)
+        return (0, *self.base.key(exps))
 
 
 def _element_terms(e: FreeElement, keyed: _Keyed):
@@ -493,31 +448,31 @@ def _as_elements(generators, rank: int | None):
 
 def buchberger(
     generators,
-    order: ModuleOrder | None = None,
+    order: MonomialOrder | None = None,
     rank: int | None = None,
     max_basis: int = DEFAULT_MAX_BASIS,
     deadline: float | None = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule the generators span."""
+    """Reduced Groebner basis of the submodule the generators span.
+
+    `order` may only restate the ring's order; the basis always uses it.
+    """
     elems, rank = _as_elements(generators, rank)
+    if not elems:
+        raise HilbertKunzError("cannot infer the ring from an empty input")
+    ring = elems[0].ring
+    if order is not None and order != ring.order:
+        raise OrderMismatch("order differs from the ring order")
     nonzero = [e for e in elems if not e.is_zero()]
     if not nonzero:
-        ring = elems[0].ring if elems else None
-        if ring is None:
-            raise HilbertKunzError("cannot infer the ring from an empty input")
-        return GroebnerBasis((), order or default_module_order(ring, rank), rank, ring)
-    ring = nonzero[0].ring
-    if order is None:
-        order = default_module_order(ring, rank)
-    elif order.base != ring.order:
-        raise OrderMismatch("module order base differs from the ring order")
-    keyed = _keyfuncs(order, ring, rank)
+        return GroebnerBasis((), ring.order, rank, ring)
+    keyed = _Keyed(ring, rank)
     inputs = [_element_terms(e, keyed) for e in nonzero]
     red = _buchberger_engine(inputs, keyed, ring.p, max_basis, deadline)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
     elements = tuple(_terms_to_element(t, keyed) for t in final)
-    return GroebnerBasis(elements, order, rank, ring)
+    return GroebnerBasis(elements, ring.order, rank, ring)
 
 
 def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
@@ -529,9 +484,9 @@ def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
         raise RankMismatch(f"rank {f.rank} vs basis rank {G.rank}")
     if f.ring != G.ring:
         raise RingMismatch("element and basis over different rings")
-    if G.order.base != f.ring.order:
+    if G.order != f.ring.order:
         raise OrderMismatch("basis order does not match the ring order")
-    keyed = _keyfuncs(G.order, G.ring, G.rank)
+    keyed = _Keyed(G.ring, G.rank)
     red = _Reducer(keyed, G.ring.p)
     for e in G.elements:
         red.add(_element_terms(e, keyed))
@@ -544,7 +499,7 @@ def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
 
 def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
     """Test hook: verify the defining property of a Groebner basis."""
-    keyed = _keyfuncs(G.order, G.ring, G.rank)
+    keyed = _Keyed(G.ring, G.rank)
     red = _Reducer(keyed, G.ring.p)
     for e in G.elements:
         red.add(_element_terms(e, keyed))
@@ -559,31 +514,27 @@ def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
     return True
 
 
-def syzygies(generators, order: ModuleOrder | None = None) -> list[FreeElement]:
+def syzygies(generators) -> list[FreeElement]:
     """Generators of the relation module among the given elements.
 
     Tags each generator g_i with a marker component e_i, computes a basis
-    under a component-eliminating order, and keeps the elements whose
-    original components all vanish.
+    under position over term (which eliminates the original components,
+    since they come first), and keeps the elements whose original
+    components all vanish.
     """
     elems, rank = _as_elements(generators, None)
     if not elems:
         return []
     ring = elems[0].ring
     k = len(elems)
-    if order is None:
-        order = default_module_order(ring, rank)
     big_rank = rank + k
-    big_order = ModuleOrder(
-        order.base, POSITION_OVER_TERM, tuple(range(big_rank))
-    )
     zero = ring.zero()
     tagged = []
     for i, e in enumerate(elems):
         comps = list(e.components) + [zero] * k
         comps[rank + i] = ring.one()
         tagged.append(FreeElement(comps))
-    G = buchberger(tagged, big_order, rank=big_rank)
+    G = buchberger(tagged, rank=big_rank)
     out = []
     for e in G.elements:
         if all(c.is_zero() for c in e.components[:rank]):

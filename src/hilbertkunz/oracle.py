@@ -8,6 +8,7 @@ Python: int bitsets over F_2, sparse {row: coefficient} columns over odd p.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
@@ -273,7 +274,8 @@ def oracle_length(
 class StableLength(NamedTuple):
     """Outcome of the degree walk: the last completed count and its bound
     (None when the first bound already tripped a cap), whether oracle_length
-    would certify it, and the warning text when a cap ended the walk."""
+    would certify it, and the warning text when a cap or the deadline ended
+    the walk."""
 
     count: int | None
     stable: bool
@@ -282,13 +284,18 @@ class StableLength(NamedTuple):
 
 
 def stable_length(
-    relations, rank: int, p: int, cell_cap: int = DEFAULT_CELL_CAP
+    relations,
+    rank: int,
+    p: int,
+    cell_cap: int = DEFAULT_CELL_CAP,
+    deadline: float | None = None,
 ) -> StableLength:
     """Raise the degree bound from the largest generator degree (at least
     1) until the certificate holds, at most ORACLE_EXTRA_DEGREES times.
 
     Agrees with calling oracle_length at each bound in turn, but builds each
-    bound's system once. A cap (MatrixTooLarge) ends the walk with the last
+    bound's system once. A cap (MatrixTooLarge), or a `time.monotonic()`
+    deadline passed before a new bound, ends the walk with the last
     completed count, uncertified.
     """
     start = max(
@@ -300,6 +307,11 @@ def stable_length(
     count = degree = prev_count = None
     try:
         for d in range(start, start + ORACLE_EXTRA_DEGREES + 1):
+            if deadline is not None and time.monotonic() > deadline:
+                return StableLength(
+                    count, False, degree,
+                    f"oracle stopped at degree {d}: time budget exceeded",
+                )
             current = build_system(relations, rank, p, d, cell_cap).count
             if prev_count is None:
                 prev_count = build_system(

@@ -9,9 +9,9 @@ on both facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DivisionByZero, HilbertKunzError, NotAPowerOfP, RingMismatch
+from .errors import HilbertKunzError, NotAPowerOfP, RingMismatch
 
 Exponents = tuple[int, ...]
 
@@ -29,50 +29,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-class PrimeField:
-    """Arithmetic context for F_p. Elements are ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise HilbertKunzError(f"{p!r} is not prime")
-        if p >= MAX_PRIME:
-            raise HilbertKunzError(f"prime {p} out of supported range (< 2^16)")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse mod {self.p}")
-        # Fermat: a^(p-2) is the inverse for prime p.
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, k: int) -> int:
-        return pow(a % self.p, k, self.p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 @dataclass(frozen=True)
@@ -139,10 +95,12 @@ class PolyRing:
     p: int
     variables: tuple[str, ...]
     order: MonomialOrder
-    fld: PrimeField = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fld", PrimeField(self.p))
+        if not isinstance(self.p, int) or not _is_prime(self.p):
+            raise HilbertKunzError(f"{self.p!r} is not prime")
+        if self.p >= MAX_PRIME:
+            raise HilbertKunzError(f"prime {self.p} out of supported range (< 2^16)")
         if len(set(self.variables)) != len(self.variables):
             raise HilbertKunzError("duplicate variable names")
         if len(self.order.precedence) != len(self.variables):
@@ -240,10 +198,9 @@ class Polynomial:
     def monic(self) -> Polynomial:
         if self.is_zero() or self.terms[0][1] == 1:
             return self
-        inv = self.ring.fld.inv(self.terms[0][1])
-        return Polynomial(
-            self.ring, tuple((e, c * inv % self.ring.p) for e, c in self.terms)
-        )
+        p = self.ring.p
+        inv = pow(self.terms[0][1], p - 2, p)  # Fermat: a^(p-2) = 1/a mod p
+        return Polynomial(self.ring, tuple((e, c * inv % p) for e, c in self.terms))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -23,7 +23,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     count_standard_monomials,
-    default_module_order,
     is_zero_dimensional,
     krull_dimension,
     syzygies,
@@ -103,6 +102,8 @@ class IdealSpec:
                 raise RingMismatch("generator from a different ring")
 
     def frobenius_power(self, q: int) -> "IdealSpec":
+        """I^[q]: the q-th powers of the generators, q a power of p. Any
+        generating set of I gives the same ideal."""
         check_power_of_p(q, self.ringspec.p)
         return IdealSpec(
             self.ringspec,
@@ -116,15 +117,6 @@ def ideal_spec(rs: RingSpec, generators) -> IdealSpec:
 
 def maximal_ideal(rs: RingSpec) -> IdealSpec:
     return IdealSpec(rs, rs.maximal_ideal())
-
-
-def frobenius_power_ideal(ideal: IdealSpec, q: int) -> IdealSpec:
-    """Ideal generated by the q-th powers of the given generators.
-
-    For q a power of p this generates I^[q] regardless of the chosen
-    generating set.
-    """
-    return ideal.frobenius_power(q)
 
 
 @dataclass(frozen=True)
@@ -194,28 +186,6 @@ def module_presentation(
     return ModulePresentation(rs, rank, tuple(rels), declared_generic_rank)
 
 
-@dataclass(frozen=True)
-class SubmoduleSpec:
-    """A submodule of an ambient module, spanned by elements of its cover."""
-
-    ambient: ModulePresentation
-    generators: tuple[FreeElement, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise RankMismatch("a submodule needs at least one generator")
-        for g in self.generators:
-            if g.ring != self.ambient.ringspec.ring:
-                raise RingMismatch("generator from a different ring")
-            if g.rank != self.ambient.rank:
-                raise RankMismatch("generator rank does not match the ambient")
-
-    def to_presentation(self, declared_generic_rank: int | None = None):
-        return present_submodule(
-            self.ambient, list(self.generators), declared_generic_rank
-        )
-
-
 def _cover_elements(module: ModulePresentation, generators) -> list[FreeElement]:
     """Coerce strings, polynomials, or component sequences to elements of
     the module's free cover."""
@@ -237,12 +207,6 @@ def _cover_elements(module: ModulePresentation, generators) -> list[FreeElement]
             raise RingMismatch("generator from a different ring")
         gens.append(g)
     return gens
-
-
-def submodule_spec(ambient, generators) -> SubmoduleSpec:
-    if isinstance(ambient, RingSpec):
-        ambient = free_module(ambient, 1)
-    return SubmoduleSpec(ambient, tuple(_cover_elements(ambient, generators)))
 
 
 def present_submodule(
@@ -322,12 +286,10 @@ def presentation_basis(
     max_seconds: float | None = None,
 ) -> GroebnerBasis:
     """Groebner basis of relations(M) + I^[p^n] acting on every generator."""
-    S = module.ringspec.ring
     gens = frobenius_relations(module, ideal, n)
-    order = default_module_order(S, module.rank)
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     return buchberger(
-        gens, order, rank=module.rank, max_basis=max_basis, deadline=deadline
+        gens, rank=module.rank, max_basis=max_basis, deadline=deadline
     )
 
 

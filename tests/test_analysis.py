@@ -5,9 +5,12 @@ known exactly, so the estimators can be checked against exact rationals
 without running the engine.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbertkunz as hk
 from hilbertkunz import (
@@ -180,6 +183,67 @@ def test_geometric_tail_smallest_ratio_wins():
 
 def test_geometric_tail_needs_three_samples():
     assert fit_geometric_tail(make_series([339, 43017], p=5, d=3)) is None
+
+
+def search_geometric_tail(series):
+    """Reference: try every ratio 2 <= r < p^d in turn, solve a, c on the
+    first two samples, keep the smallest r that reproduces the rest."""
+    samples = series.samples
+    if len(samples) < 3:
+        return None
+    d = series.d
+    s1, s2 = samples[0], samples[1]
+    for r in range(2, series.p**d):
+        det = F(s1.q) ** d * r**s2.n - F(s2.q) ** d * r**s1.n
+        if det == 0:
+            continue
+        a = (F(s1.length) * r**s2.n - F(s2.length) * r**s1.n) / det
+        c = (F(s2.length) * F(s1.q) ** d - F(s1.length) * F(s2.q) ** d) / det
+        if c == 0:
+            continue
+        if all(a * F(s.q) ** d + c * r**s.n == s.length for s in samples[2:]):
+            return GeometricTail(a, c, r)
+    return None
+
+
+@st.composite
+def tail_series(draw):
+    """(a*q^d + c*r^n) // m over consecutive n: exact two-term shapes when m
+    divides, rounded ones otherwise, ratios in and out of 2..p^d-1, and an
+    optional integer bump on one sample."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    n_start = draw(st.integers(0, 2))
+    count = draw(st.integers(3, 7))
+    r = draw(st.integers(1, p**d + 1))
+    a = draw(st.integers(-5, 20))
+    c = draw(st.integers(-20, 20))
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    lengths = [
+        (a * p ** (n * d) + c * r**n) // m
+        for n in range(n_start, n_start + count)
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, count - 1))
+        lengths[i] += draw(st.integers(-3, 3))
+    return make_series(lengths, p=p, d=d, n_start=n_start)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tail_series())
+def test_geometric_tail_closed_form_equals_ratio_search(ser):
+    assert fit_geometric_tail(ser) == search_geometric_tail(ser)
+
+
+def test_geometric_tail_large_p_returns_at_once():
+    """p^d = 101^3 would be a million candidate ratios for a search."""
+    lengths = [2 * 101 ** (3 * n) + 5 * 7**n for n in range(1, 5)]
+    t0 = time.monotonic()
+    tail = fit_geometric_tail(make_series(lengths, p=101, d=3))
+    bumped = fit_geometric_tail(make_series(lengths[:3] + [lengths[3] + 1], p=101, d=3))
+    assert time.monotonic() - t0 < 1.0
+    assert tail == GeometricTail(F(2), F(5), 7)
+    assert bumped is None
 
 
 # -- alpha -----------------------------------------------------------------
@@ -426,15 +490,6 @@ def test_sample_hk_rejects_empty_range():
     rs = hk.ring_spec("x", 2)
     with pytest.raises(SampleMismatch):
         sample_hk(rs, hk.maximal_ideal(rs), hk.free_module(rs, 1), 3, 1)
-
-
-def test_sample_hk_threaded_matches_serial():
-    rs = hk.ring_spec("x y", 2)
-    ideal = hk.ideal_spec(rs, ["x^2", "x*y + y^3", "y^4"])
-    mod = hk.free_module(rs, 1)
-    serial = sample_hk(rs, ideal, mod, 1, 3)
-    threaded = sample_hk(rs, ideal, mod, 1, 3, threads=3)
-    assert serial.lengths() == threaded.lengths()
 
 
 # -- additive errors on split sequences ------------------------------------

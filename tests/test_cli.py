@@ -68,15 +68,6 @@ def test_lex_and_grevlex_agree_on_lengths():
     assert lex["input"]["order"] == "lex"
 
 
-def test_threading_does_not_change_the_report():
-    pf = load_problem("monsky_p2")
-    one = run_problem("fit", pf, threads=1)
-    two = run_problem("fit", pf, threads=2)
-    assert one["samples"] == two["samples"]
-    assert one["analysis"] == two["analysis"]
-    assert two["input"]["threads"] == 2
-
-
 def test_problem_echo_is_faithful():
     report = run_problem("compute", load_problem("omega"))
     assert report["input"]["problem"] == {
@@ -237,6 +228,23 @@ def test_main_oracle_check_agrees(tmp_path, capsys):
     assert analysis["oracle_count"] == "6"
     assert analysis["stable"] is True
     assert analysis["agree"] is True
+
+
+def test_main_oracle_check_budget_stops_the_oracle_walk(tmp_path, capsys):
+    """The engine finishes (two monomials leave no S-pairs to time), so the
+    only thing the budget can stop is the oracle's degree walk."""
+    path = write_problem(tmp_path, "p = 5\nvars = x y\nideal = x^2, y^3\nn = 0..0\n")
+    code = main(["oracle-check", path, "--n-max-seconds", "1e-9"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["samples"][0]["length"] == "6"
+    assert report["warnings"] == [
+        "oracle stopped at degree 3: time budget exceeded"
+    ]
+    analysis = report["analysis"]
+    assert analysis["oracle_count"] is None
+    assert analysis["stable"] is False
+    assert analysis["agree"] is None
 
 
 def test_main_oracle_check_on_quotient_ring(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from hilbertkunz.errors import HilbertKunzError, ResourceLimit
 from hilbertkunz.groebner import (
     FreeElement,
-    ModuleOrder,
     buchberger,
     count_standard_monomials,
     default_module_order,

@@ -1,10 +1,13 @@
 """Bounded-degree length oracle: counts, stability certificate, caps, the
 degree walk, and the two rank routines."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbertkunz import oracle
 from hilbertkunz.errors import HilbertKunzError, MatrixTooLarge
 from hilbertkunz.groebner import FreeElement
 from hilbertkunz.oracle import (
@@ -175,6 +178,17 @@ def test_walk_keeps_last_count_when_a_cap_trips():
     walk = stable_length(gens, 1, 2, cell_cap=system.n_rows * system.n_cols)
     assert walk[:3] == (system.count, False, 10)
     assert walk.stopped.startswith("oracle stopped at degree 11: ")
+
+
+def test_walk_keeps_last_count_when_the_deadline_passes(monkeypatch):
+    """The clock passes the deadline between bounds 7 and 8."""
+    clock = iter([0.0, 0.0, 10.0])
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    walk = stable_length(unit_ideal(), 1, 2, deadline=1.0)
+    assert walk == (
+        build_system(unit_ideal(), 1, 2, 7).count, False, 7,
+        "oracle stopped at degree 8: time budget exceeded",
+    )
 
 
 def test_walk_reports_a_cap_at_the_first_degree():

@@ -1,17 +1,15 @@
-"""Field, monomial order, polynomial arithmetic, and the parser."""
+"""Prime range, monomial order, polynomial arithmetic, and the parser."""
 
 import random
 
 import pytest
 
 from hilbertkunz.errors import (
-    DivisionByZero,
     HilbertKunzError,
     NotAPowerOfP,
     ParseError,
 )
 from hilbertkunz.poly import (
-    PrimeField,
     check_power_of_p,
     compare_monomials,
     frobenius_power_poly,
@@ -26,32 +24,19 @@ from hilbertkunz.poly import (
 
 def test_field_requires_small_prime():
     with pytest.raises(HilbertKunzError, match="not prime"):
-        PrimeField(4)
+        ring("x", 4)
     with pytest.raises(HilbertKunzError, match="not prime"):
-        PrimeField(1)
+        ring("x", 1)
     with pytest.raises(HilbertKunzError, match="out of supported range"):
-        PrimeField(65537)
+        ring("x", 65537)
 
 
 def test_field_inverse():
-    f = PrimeField(61)
-    assert f.inv(8) == 23
-    assert f.mul(8, 23) == 1
+    """monic() divides by the leading coefficient: 8 * 23 = 1 mod 61."""
+    S = ring("x", 61)
+    assert (8 * S.variable(0) + S.one()).monic() == S.variable(0) + S.constant(23)
     for a in range(1, 61):
-        assert f.mul(a, f.inv(a)) == 1
-
-
-def test_field_inverse_of_zero():
-    with pytest.raises(DivisionByZero):
-        PrimeField(5).inv(0)
-
-
-def test_field_arithmetic_mod_p():
-    f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.sub(2, 5) == 4
-    assert f.neg(3) == 4
-    assert f.pow(3, 6) == 1
+        assert (a * S.variable(0)).monic() == S.variable(0)
 
 
 # -- monomial orders ------------------------------------------------------------

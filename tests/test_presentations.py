@@ -16,7 +16,6 @@ from hilbertkunz.presentations import (
     cyclic_module,
     direct_sum,
     free_module,
-    frobenius_power_ideal,
     frobenius_relations,
     ideal_spec,
     length_mod_frobenius,
@@ -142,7 +141,7 @@ def test_frobenius_tower():
     rs = ring_spec("x y", 2, ["x^5 + y^5"])
     I = maximal_ideal(rs)
     M = free_module(rs, 1)
-    I2 = frobenius_power_ideal(I, 2)
+    I2 = I.frobenius_power(2)
     for n in (0, 1, 2):
         assert length_mod_frobenius(M, I2, n) == length_mod_frobenius(M, I, n + 1)
 
