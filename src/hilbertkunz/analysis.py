@@ -11,7 +11,7 @@ when callers format output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InsufficientSamples, ResourceLimit, SampleMismatch
@@ -190,8 +190,8 @@ def sample_hk(
     """Sample the length function for n_min..n_max, one n after another.
 
     Each n is an independent computation. A per-sample time budget turns
-    into a truncated series: the first failed n drops itself and everything
-    after it, with a note on the series.
+    into a truncated series: sampling stops at the first n that runs out,
+    with a note on the series.
     """
     if n_min > n_max:
         raise SampleMismatch("empty sample range")
@@ -201,29 +201,19 @@ def sample_hk(
         notes.append(f"dimension override {dim} used; computed value is {d}")
         d = dim
     p = ringspec.p
-    ns = list(range(n_min, n_max + 1))
-
-    def one(n: int):
-        t0 = time.monotonic()
-        value = length_mod_frobenius(
-            module, ideal, n, max_basis=max_basis, max_seconds=max_seconds
-        )
-        return HKSample(n, p**n, value, seconds=time.monotonic() - t0)
-
-    results: dict[int, HKSample | None] = {}
-    for n in ns:
-        try:
-            results[n] = one(n)
-        except ResourceLimit as exc:
-            results[n] = None
-            notes.append(f"sample n={n} skipped: {exc}")
     samples = []
-    for n in ns:
-        if results[n] is None:
-            if any(results[m] is not None for m in ns if m > n):
+    for n in range(n_min, n_max + 1):
+        t0 = time.monotonic()
+        try:
+            value = length_mod_frobenius(
+                module, ideal, n, max_basis=max_basis, max_seconds=max_seconds
+            )
+        except ResourceLimit as exc:
+            notes.append(f"sample n={n} skipped: {exc}")
+            if n < n_max:
                 notes.append(f"series truncated at n={n} to keep n consecutive")
             break
-        samples.append(results[n])
+        samples.append(HKSample(n, p**n, value, seconds=time.monotonic() - t0))
     return HKSeries(ringspec, ideal, module, d, tuple(samples), tuple(notes))
 
 
@@ -643,13 +633,8 @@ def analyze_module_vs_ring(
             f"alpha(M) = {got} deviates from rank * alpha(R) = {expected} "
             "by more than 1%; the declared generic rank may be wrong"
         )
-    return AsymptoticReport(
-        alpha=base.alpha,
-        beta=base.beta,
-        polynomial_fit=base.polynomial_fit,
-        periodic_tail=base.periodic_tail,
-        geometric_tail=base.geometric_tail,
-        tail_classification=base.tail_classification,
+    return replace(
+        base,
         delta_sequence=tuple(deltas),
         tau=tau,
         delta_recursion=recursion,

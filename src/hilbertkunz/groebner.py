@@ -124,11 +124,12 @@ class GroebnerBasis:
     ring: PolyRing
 
     def leading_terms(self) -> list[tuple[int, Exponents]]:
-        keyed = _Keyed(self.ring, self.rank)
+        """(component, exponents) of each element's leading term: the first
+        term of its first nonzero component, under position over term."""
         out = []
         for e in self.elements:
-            terms = _element_terms(e, keyed)
-            out.append((terms[0][1], terms[0][2]))
+            j = next(j for j, c in enumerate(e.components) if c.terms)
+            out.append((j, e.components[j].terms[0][0]))
         return out
 
 
@@ -179,11 +180,16 @@ def _monic_terms(terms, p: int):
 
 
 class _Reducer:
-    """Shared reduction state: basis elements bucketed by leading component."""
+    """Shared reduction state: basis elements bucketed by leading component.
 
-    def __init__(self, keyed: _Keyed, p: int):
+    A deadline (a time.monotonic() value) makes every reduction stop with
+    ResourceLimit once it has passed, checked every few hundred steps.
+    """
+
+    def __init__(self, keyed: _Keyed, p: int, deadline: float | None = None):
         self.keyed = keyed
         self.p = p
+        self.deadline = deadline
         self.elements: list[list] = []  # term lists, monic
         self.lead: list[tuple[int, Exponents]] = []
         self.alive: list[bool] = []
@@ -207,6 +213,12 @@ class _Reducer:
     def kill(self, idx: int):
         self.alive[idx] = False
 
+    def check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimit(
+                "time budget exceeded", partial_basis_size=len(self.elements)
+            )
+
     def find_divisor(self, comp: int, exps: Exponents, exclude: int = -1):
         for idx in self.mono_by_comp[comp]:
             if idx != exclude and self.alive[idx] and monomial_divides(
@@ -227,7 +239,11 @@ class _Reducer:
         out = []
         pop = heapq.heappop
         push = heapq.heappush
+        steps = 0
         while heap:
+            steps += 1
+            if steps & 255 == 0:
+                self.check_deadline()
             key, comp, exps = pop(heap)
             c = work.get((comp, exps))
             if not c:
@@ -306,91 +322,62 @@ def _buchberger_engine(
     max_basis: int,
     deadline: float | None = None,
 ) -> _Reducer:
-    red = _Reducer(keyed, p)
+    red = _Reducer(keyed, p, deadline)
     pairs: dict[tuple[int, int], Exponents] = {}
     pair_heap: list = []
-
-    def push_pair(i: int, j: int, lcm: Exponents, comp: int):
-        pairs[(i, j)] = lcm
-        heapq.heappush(
-            pair_heap, (sum(lcm), keyed.term_key(comp, lcm), i, j)
-        )
+    ideal = keyed.rank == 1
 
     def add_element(terms):
+        """The Gebauer-Moller update (1988) for a new element h."""
         if len(red.elements) >= max_basis:
             raise ResourceLimit(
                 "basis size cap exceeded", partial_basis_size=len(red.elements)
             )
         h = red.add(terms)
         comp_h, lt_h = red.lead[h]
-
-        # candidate pairs with the new element, Gebauer-Moller filtered
-        cand = [
-            g
-            for g in range(h)
-            if red.alive[g] and red.lead[g][0] == comp_h
-        ]
-        lcms = {g: monomial_lcm(lt_h, red.lead[g][1]) for g in cand}
-        kept: list[int] = []
-        dropped = set()
-        for g in cand:
-            lg = lcms[g]
-            coprime = red.keyed.rank == 1 and _coprime(lt_h, red.lead[g][1])
-            if not coprime:
-                strictly_better = False
-                for g2 in cand:
-                    if g2 == g or g2 in dropped:
-                        continue
-                    if monomial_divides(lcms[g2], lg) and lcms[g2] != lg:
-                        strictly_better = True
-                        break
-                    if (
-                        lcms[g2] == lg
-                        and g2 in kept
-                    ):
-                        strictly_better = True
-                        break
-                if strictly_better:
-                    dropped.add(g)
-                    continue
-            kept.append(g)
-        # old-pair filtering
+        # criterion B: drop (i, j) when lt_h divides its lcm and neither
+        # (i, h) nor (j, h) has that same lcm
         for (i, j), lcm_ij in list(pairs.items()):
-            if red.lead[i][0] != comp_h:
-                continue
             if (
-                monomial_divides(lt_h, lcm_ij)
+                red.lead[i][0] == comp_h
+                and monomial_divides(lt_h, lcm_ij)
                 and monomial_lcm(red.lead[i][1], lt_h) != lcm_ij
                 and monomial_lcm(red.lead[j][1], lt_h) != lcm_ij
             ):
                 del pairs[(i, j)]
-        # survivors excluding coprime-head pairs (ideal case only)
-        for g in kept:
-            if red.keyed.rank == 1 and _coprime(lt_h, red.lead[g][1]):
-                continue
-            push_pair(g, h, lcms[g], comp_h)
-        # prune basis elements whose lead the new lead divides
+        # new pairs with the live elements of h's component; an element whose
+        # lead lt_h divides leaves the basis
+        new = []
         for g in range(h):
-            if red.alive[g] and red.lead[g][0] == comp_h and monomial_divides(
-                lt_h, red.lead[g][1]
-            ):
+            comp_g, lt_g = red.lead[g]
+            if not red.alive[g] or comp_g != comp_h:
+                continue
+            lcm = monomial_lcm(lt_h, lt_g)
+            new.append((sum(lcm), not (ideal and _coprime(lt_h, lt_g)), g, lcm))
+            if monomial_divides(lt_h, lt_g):
                 red.kill(g)
+        # criteria M and F: a pair stays only if no kept lcm divides its own.
+        # Coprime pairs (ideal case only) sort first among equal lcms and are
+        # then dropped, since their S-polynomials reduce to zero.
+        new.sort()
+        kept: list[Exponents] = []
+        for _, not_coprime, g, lcm in new:
+            if any(monomial_divides(k, lcm) for k in kept):
+                continue
+            kept.append(lcm)
+            if not_coprime:
+                pairs[(g, h)] = lcm
+                heapq.heappush(
+                    pair_heap, (sum(lcm), keyed.term_key(comp_h, lcm), g, h)
+                )
 
     for terms in input_terms:
-        if not terms:
-            continue
         r = red.normal_form_terms(terms)
         if r:
             add_element(r)
 
-    ticks = 0
     while pair_heap:
-        if deadline is not None:
-            ticks += 1
-            if ticks & 31 == 0 and time.monotonic() > deadline:
-                raise ResourceLimit(
-                    "time budget exceeded", partial_basis_size=len(red.elements)
-                )
+        red.check_deadline()
         _, _, i, j = heapq.heappop(pair_heap)
         if (i, j) not in pairs:
             continue
@@ -406,25 +393,13 @@ def _buchberger_engine(
 
 
 def _reduced_from_engine(red: _Reducer) -> list:
-    """Minimalize and tail-reduce the surviving elements."""
-    order = sorted(
-        (i for i in range(len(red.elements)) if red.alive[i]),
-        key=lambda i: (red.keyed.term_key(red.lead[i][0], red.lead[i][1]), i),
-    )
-    minimal: list[int] = []
-    for i in order:
-        ci, ei = red.lead[i]
-        if any(
-            red.lead[k][0] == ci and monomial_divides(red.lead[k][1], ei)
-            for k in minimal
-        ):
-            red.kill(i)
-            continue
-        minimal.append(i)
-    final = []
-    for i in minimal:
-        final.append(red.normal_form_terms(red.elements[i], exclude=i))
-    return final
+    """Tail-reduce the live elements. No live lead divides another, so
+    they already form a minimal basis."""
+    return [
+        red.normal_form_terms(red.elements[i], exclude=i)
+        for i in range(len(red.elements))
+        if red.alive[i]
+    ]
 
 
 def _as_elements(generators, rank: int | None):
@@ -475,6 +450,14 @@ def buchberger(
     return GroebnerBasis(elements, ring.order, rank, ring)
 
 
+def _loaded_reducer(G: GroebnerBasis) -> _Reducer:
+    keyed = _Keyed(G.ring, G.rank)
+    red = _Reducer(keyed, G.ring.p)
+    for e in G.elements:
+        red.add(_element_terms(e, keyed))
+    return red
+
+
 def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
     """Remainder of f modulo G; unique for a reduced basis."""
     wrap = isinstance(f, Polynomial)
@@ -486,12 +469,9 @@ def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
         raise RingMismatch("element and basis over different rings")
     if G.order != f.ring.order:
         raise OrderMismatch("basis order does not match the ring order")
-    keyed = _Keyed(G.ring, G.rank)
-    red = _Reducer(keyed, G.ring.p)
-    for e in G.elements:
-        red.add(_element_terms(e, keyed))
-    out = red.normal_form_terms(_element_terms(f, keyed))
-    result = _terms_to_element(out, keyed) if out else FreeElement(
+    red = _loaded_reducer(G)
+    out = red.normal_form_terms(_element_terms(f, red.keyed))
+    result = _terms_to_element(out, red.keyed) if out else FreeElement(
         tuple(G.ring.zero() for _ in range(G.rank))
     )
     return result.components[0] if wrap else result
@@ -499,10 +479,7 @@ def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
 
 def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
     """Test hook: verify the defining property of a Groebner basis."""
-    keyed = _Keyed(G.ring, G.rank)
-    red = _Reducer(keyed, G.ring.p)
-    for e in G.elements:
-        red.add(_element_terms(e, keyed))
+    red = _loaded_reducer(G)
     n = len(G.elements)
     for i in range(n):
         for j in range(i + 1, n):

@@ -18,7 +18,7 @@ Exponents = tuple[int, ...]
 MAX_PRIME = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -33,36 +33,30 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total order on monomials: 'lex' or 'grevlex' with a variable precedence.
+    """Total order on monomials: 'lex' or 'grevlex', the first variable
+    most significant.
 
-    precedence lists variable indices most significant first. key(e) returns
-    a flat int tuple; key(a) < key(b) exactly when a is the larger monomial,
-    and key(a*b) == key(a) + key(b) componentwise.
+    key(e) returns a flat int tuple; key(a) < key(b) exactly when a is the
+    larger monomial, and key(a*b) == key(a) + key(b) componentwise.
     """
 
     kind: str
-    precedence: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
             raise HilbertKunzError(f"unknown order kind {self.kind!r}")
-        if sorted(self.precedence) != list(range(len(self.precedence))):
-            raise HilbertKunzError("precedence must be a permutation of variable indices")
 
     def key(self, exponents: Exponents):
         if self.kind == "lex":
-            return tuple(-exponents[i] for i in self.precedence)
+            return tuple(-x for x in exponents)
         # grevlex: higher total degree first; ties fall to the smaller
-        # exponent at the last differing position, scanned least significant
-        # variable first.
-        rev = []
-        for i in reversed(self.precedence):
-            rev.append(exponents[i])
-        return (-sum(exponents), *rev)
+        # exponent at the last differing position, scanned last variable
+        # first.
+        return (-sum(exponents), *reversed(exponents))
 
 
 def standard_order(kind: str, nvars: int) -> MonomialOrder:
-    return MonomialOrder(kind, tuple(range(nvars)))
+    return MonomialOrder(kind)
 
 
 def compare_monomials(m1: Exponents, m2: Exponents, order: MonomialOrder) -> int:
@@ -97,14 +91,12 @@ class PolyRing:
     order: MonomialOrder
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not isinstance(self.p, int) or not is_prime(self.p):
             raise HilbertKunzError(f"{self.p!r} is not prime")
         if self.p >= MAX_PRIME:
             raise HilbertKunzError(f"prime {self.p} out of supported range (< 2^16)")
         if len(set(self.variables)) != len(self.variables):
             raise HilbertKunzError("duplicate variable names")
-        if len(self.order.precedence) != len(self.variables):
-            raise RingMismatch("order precedence size does not match variable count")
 
     @property
     def nvars(self) -> int:

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .poly import MAX_PRIME, parse_polynomial, ring
+from .poly import MAX_PRIME, is_prime, parse_polynomial, ring
 
 _KEYS = (
     "p",
@@ -58,17 +58,6 @@ class ProblemFile:
     n_min: int
     n_max: int
     sequence: tuple[tuple[str, ...], ...] | None
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _strip_comment(line: str) -> str:
@@ -127,7 +116,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     raw, line, col = entries["p"]
     p = _int_value(raw, line, col, "p")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ParseError(f"{p} is not prime", line, col)
     if p >= MAX_PRIME:
         raise ParseError(f"p must be below {MAX_PRIME}", line, col)

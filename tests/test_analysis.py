@@ -461,12 +461,15 @@ def test_sample_hk_lengths_match_engine():
 
 
 def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
-    """A resource limit at n=2 drops n=2 and everything after it, even when
-    n=3 would have succeeded, so the series keeps consecutive n."""
+    """A resource limit at n=2 drops n=2 and stops the sampling, so the
+    series keeps consecutive n and n=3 is never computed."""
     import hilbertkunz.analysis as analysis
     from hilbertkunz.errors import ResourceLimit
 
+    calls = []
+
     def fake_length(module, ideal, n, **kw):
+        calls.append(n)
         if n == 2:
             raise ResourceLimit("time budget exceeded")
         return 4**n
@@ -475,6 +478,7 @@ def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
     rs = hk.ring_spec("x y", 2)
     ser = sample_hk(rs, hk.maximal_ideal(rs), hk.free_module(rs, 1), 1, 3)
     assert ser.lengths() == [4]
+    assert calls == [1, 2]
     assert any("n=2 skipped" in note for note in ser.notes)
     assert any("truncated at n=2" in note for note in ser.notes)
 

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from hilbertkunz.errors import HilbertKunzError, ResourceLimit
 from hilbertkunz.groebner import (
@@ -18,7 +20,7 @@ from hilbertkunz.groebner import (
     syzygies,
     unit_vector,
 )
-from hilbertkunz.poly import parse_polynomial, ring
+from hilbertkunz.poly import monomial_divides, parse_polynomial, ring
 
 
 def polys(S, *texts):
@@ -115,6 +117,65 @@ def test_unit_ideal():
     G = buchberger(polys(S, "x + 1", "x"))
     assert len(G.elements) == 1
     assert G.elements[0].components[0] == S.one()
+
+
+@st.composite
+def submodule_generators(draw):
+    """Random ideals and rank-2 submodules: p in {2,3,5}, lex or grevlex,
+    2-3 variables, exponents up to 2, 2-5 generators, zero entries allowed."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["lex", "grevlex"]))
+    nvars = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, 2))
+    S = ring("x y z"[: 2 * nvars - 1], p, kind)
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * nvars), st.integers(1, p - 1)
+    )
+    gens = []
+    for _ in range(draw(st.integers(2, 5))):
+        row = []
+        for _ in range(rank):
+            size = draw(st.integers(0, 3))
+            terms = draw(st.lists(term, min_size=size, max_size=size))
+            row.append(S.from_dict(dict(terms)))
+        gens.append(FreeElement(row))
+    return rank, gens
+
+
+# An ideal where criterion B checked on one side only (lcm(i,h) != lcm(i,j))
+# drops a pair the basis needs.
+ONE_SIDED_CRITERION_B = (1, [
+    FreeElement((f,))
+    for f in polys(ring("x y z", 2, "lex"), "y^2*z + z", "x*z^2 + y^2 + 1", "x^2")
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(submodule_generators())
+@example(ONE_SIDED_CRITERION_B)
+def test_basis_is_reduced_groebner_basis(case):
+    """The pair criteria drop only pairs that reduce to zero: the basis
+    passes the S-pair test, contains every generator, and is reduced."""
+    rank, gens = case
+    try:
+        G = buchberger(gens, rank=rank, deadline=time.monotonic() + 0.25)
+    except ResourceLimit:
+        reject()
+    assert spairs_reduce_to_zero(G)
+    for g in gens:
+        assert normal_form(g, G).is_zero()
+    leads = G.leading_terms()
+    for i, (ci, ei) in enumerate(leads):
+        for j, (cj, ej) in enumerate(leads):
+            assert i == j or ci != cj or not monomial_divides(ei, ej)
+    for e, lead in zip(G.elements, leads):
+        for comp, poly in enumerate(e.components):
+            for exps, _ in poly.terms:
+                if (comp, exps) == lead:
+                    continue
+                assert not any(
+                    c == comp and monomial_divides(lt, exps) for c, lt in leads
+                )
 
 
 # -- module bases ---------------------------------------------------------------
@@ -256,3 +317,22 @@ def test_resource_limit_on_deadline():
     )
     with pytest.raises(ResourceLimit):
         buchberger(gens, deadline=time.monotonic() - 1.0)
+
+
+def test_deadline_holds_inside_one_reduction():
+    """One long reduction of this rank-2 lex instance runs for many seconds;
+    the deadline must stop it mid-reduction, not only between S-pairs."""
+    S = ring("x y z", 2, "lex")
+    gens = [
+        FreeElement(tuple(polys(S, a, b)))
+        for a, b in [
+            ("x^2*y + x + y^2*z", "y^2*z^2 + y*z"),
+            ("x^2*y + x*y*z + x*z", "x^2*z + z^2"),
+            ("0", "x^2*y^2 + x^2*y*z + x*y^2*z^2 + y*z"),
+            ("0", "y^2 + y + 1"),
+        ]
+    ]
+    start = time.monotonic()
+    with pytest.raises(ResourceLimit):
+        buchberger(gens, rank=2, deadline=start + 0.2)
+    assert time.monotonic() - start < 2.0
