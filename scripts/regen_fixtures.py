@@ -24,6 +24,7 @@ RUNS = [
     ("monsky_p2", "fit"),
     ("monsky_p3", "fit"),
     ("monsky_p7", "fit"),
+    ("monsky_p2_long", "fit"),
     ("hanmonsky", "fit"),
     ("determinantal", "fit"),
     ("omega", "tau"),

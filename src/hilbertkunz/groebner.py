@@ -183,13 +183,16 @@ class _Reducer:
     """Shared reduction state: basis elements bucketed by leading component.
 
     A deadline (a time.monotonic() value) makes every reduction stop with
-    ResourceLimit once it has passed, checked every few hundred steps.
+    ResourceLimit once it has passed, checked every 16 heap pops counted
+    across reductions, so many short reductions are covered too. A pop
+    costs from a microsecond to a millisecond (a scan of every lead).
     """
 
     def __init__(self, keyed: _Keyed, p: int, deadline: float | None = None):
         self.keyed = keyed
         self.p = p
         self.deadline = deadline
+        self.steps = 0
         self.elements: list[list] = []  # term lists, monic
         self.lead: list[tuple[int, Exponents]] = []
         self.alive: list[bool] = []
@@ -239,10 +242,10 @@ class _Reducer:
         out = []
         pop = heapq.heappop
         push = heapq.heappush
-        steps = 0
+        steps = self.steps
         while heap:
             steps += 1
-            if steps & 255 == 0:
+            if steps & 15 == 0:
                 self.check_deadline()
             key, comp, exps = pop(heap)
             c = work.get((comp, exps))
@@ -274,6 +277,7 @@ class _Reducer:
                         work[target] = val
                     else:
                         del work[target]
+        self.steps = steps
         return out
 
     def normal_form_terms(self, terms, exclude: int = -1):
@@ -450,31 +454,39 @@ def buchberger(
     return GroebnerBasis(elements, ring.order, rank, ring)
 
 
-def _loaded_reducer(G: GroebnerBasis) -> _Reducer:
+def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
     keyed = _Keyed(G.ring, G.rank)
-    red = _Reducer(keyed, G.ring.p)
+    red = _Reducer(keyed, G.ring.p, deadline)
     for e in G.elements:
         red.add(_element_terms(e, keyed))
     return red
 
 
+def normal_forms(G: GroebnerBasis, deadline: float | None = None):
+    """The remainder map f -> NF(f) modulo G, with G loaded once for all its
+    calls. Past the deadline a reduction stops with ResourceLimit."""
+    if G.order != G.ring.order:
+        raise OrderMismatch("basis order does not match the ring order")
+    red = _loaded_reducer(G, deadline)
+
+    def nf(f: FreeElement | Polynomial):
+        wrap = isinstance(f, Polynomial)
+        if wrap:
+            f = FreeElement((f,))
+        if f.rank != G.rank:
+            raise RankMismatch(f"rank {f.rank} vs basis rank {G.rank}")
+        if f.ring != G.ring:
+            raise RingMismatch("element and basis over different rings")
+        out = red.normal_form_terms(_element_terms(f, red.keyed))
+        result = _terms_to_element(out, red.keyed)
+        return result.components[0] if wrap else result
+
+    return nf
+
+
 def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
     """Remainder of f modulo G; unique for a reduced basis."""
-    wrap = isinstance(f, Polynomial)
-    if wrap:
-        f = FreeElement((f,))
-    if f.rank != G.rank:
-        raise RankMismatch(f"rank {f.rank} vs basis rank {G.rank}")
-    if f.ring != G.ring:
-        raise RingMismatch("element and basis over different rings")
-    if G.order != f.ring.order:
-        raise OrderMismatch("basis order does not match the ring order")
-    red = _loaded_reducer(G)
-    out = red.normal_form_terms(_element_terms(f, red.keyed))
-    result = _terms_to_element(out, red.keyed) if out else FreeElement(
-        tuple(G.ring.zero() for _ in range(G.rank))
-    )
-    return result.components[0] if wrap else result
+    return normal_forms(G)(f)
 
 
 def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
@@ -529,10 +541,19 @@ def _leads_by_component(G: GroebnerBasis) -> list[list[Exponents]]:
     return by_comp
 
 
-def _minimalize(monos: list[Exponents]) -> list[Exponents]:
+def _check_deadline(deadline: float | None):
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceLimit("time budget exceeded")
+
+
+def _minimalize(monos: list[Exponents], deadline: float | None = None) -> list[Exponents]:
+    """The minimal generators; the deadline is checked every 16 monomials,
+    since each one is tested against all kept so far."""
     monos = sorted(set(monos), key=lambda e: (sum(e), e))
     out: list[Exponents] = []
-    for m in monos:
+    for i, m in enumerate(monos):
+        if i & 15 == 15:
+            _check_deadline(deadline)
         if not any(monomial_divides(o, m) for o in out):
             out.append(m)
     return out
@@ -554,10 +575,10 @@ def is_zero_dimensional(G: GroebnerBasis) -> bool:
     return True
 
 
-def _box_and_others(leads: list[Exponents], v: int):
+def _box_and_others(leads: list[Exponents], v: int, deadline: float | None):
     box = [None] * v
     others = []
-    for e in _minimalize(leads):
+    for e in _minimalize(leads, deadline):
         support = [i for i, x in enumerate(e) if x > 0]
         if len(support) == 0:
             return None, None  # unit: component dies
@@ -575,12 +596,17 @@ def _box_and_others(leads: list[Exponents], v: int):
     return box, others
 
 
-def _count_box(box, others, budget) -> int:
-    """Monomials in the box below every generator, by corner splitting."""
-    budget[0] -= 1
-    if budget[0] < 0:
+def _count_box(box, others, nodes, deadline) -> int:
+    """Monomials in the box below every generator, by corner splitting.
+
+    nodes[0] counts the nodes visited; the deadline is checked every 16
+    nodes and inside _minimalize."""
+    nodes[0] += 1
+    if nodes[0] > COUNT_NODE_LIMIT:
         raise ResourceLimit("standard-monomial counting budget exceeded")
-    others = _minimalize(others)
+    if nodes[0] & 15 == 0:
+        _check_deadline(deadline)
+    others = _minimalize(others, deadline)
     others = [e for e in others if all(x < b for x, b in zip(e, box))]
     if len(others) <= 8:
         # inclusion-exclusion over generator subsets
@@ -626,7 +652,7 @@ def _count_box(box, others, budget) -> int:
     box1 = list(box)
     box1[best_var] = t
     others1 = [e for e in others if e[best_var] < t]
-    n1 = _count_box(box1, others1, budget)
+    n1 = _count_box(box1, others1, nodes, deadline)
     # branch 2: colon by x_best^t
     box2 = list(box)
     box2[best_var] = box[best_var] - t
@@ -635,20 +661,22 @@ def _count_box(box, others, budget) -> int:
               for i, x in enumerate(e))
         for e in others
     ]
-    n2 = _count_box(box2, others2, budget)
+    n2 = _count_box(box2, others2, nodes, deadline)
     return n1 + n2
 
 
-def count_standard_monomials(G: GroebnerBasis) -> int:
-    """Number of monomial-component pairs outside the leading-term module."""
+def count_standard_monomials(G: GroebnerBasis, deadline: float | None = None) -> int:
+    """Number of monomial-component pairs outside the leading-term module.
+
+    Past the deadline the count stops with ResourceLimit."""
     v = G.ring.nvars
     total = 0
-    budget = [COUNT_NODE_LIMIT]
+    nodes = [0]
     for leads in _leads_by_component(G):
-        box, others = _box_and_others(leads, v)
+        box, others = _box_and_others(leads, v, deadline)
         if box is None:
             continue
-        total += _count_box(box, others, budget)
+        total += _count_box(box, others, nodes, deadline)
     return total
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     NotZeroDimensional,
@@ -25,6 +26,7 @@ from .groebner import (
     count_standard_monomials,
     is_zero_dimensional,
     krull_dimension,
+    normal_forms,
     syzygies,
     unit_vector,
 )
@@ -66,13 +68,17 @@ class RingSpec:
     def maximal_ideal(self) -> tuple[Polynomial, ...]:
         return tuple(self.ring.variable(i) for i in range(self.ring.nvars))
 
+    @cached_property
+    def basis(self) -> GroebnerBasis | None:
+        """Reduced Groebner basis of the defining ideal, computed once;
+        None when there are no relations."""
+        if not self.defining_ideal:
+            return None
+        return buchberger(list(self.defining_ideal), rank=1)
+
     def dimension(self) -> int:
         """Krull dimension of R; validates declared_dim on first use."""
-        if not self.defining_ideal:
-            d = self.ring.nvars
-        else:
-            G = buchberger(list(self.defining_ideal), rank=1)
-            d = krull_dimension(G)
+        d = self.ring.nvars if self.basis is None else krull_dimension(self.basis)
         if self.declared_dim is not None and self.declared_dim != d:
             raise SemanticError(
                 f"declared dimension {self.declared_dim} but computed {d}"
@@ -260,18 +266,38 @@ def direct_sum(m1: ModulePresentation, m2: ModulePresentation) -> ModulePresenta
 
 
 def frobenius_relations(
-    module: ModulePresentation, ideal: IdealSpec, n: int
+    module: ModulePresentation,
+    ideal: IdealSpec,
+    n: int,
+    deadline: float | None = None,
 ) -> list[FreeElement]:
     """Relations of M/I^[p^n]M over S: the presentation relations plus the
-    q-th powers of the ideal generators in every component."""
+    generators of I^[p^n] in every component.
+
+    Over a ring with relations each generator comes from the Frobenius
+    tower g_0 = NF(f), g_{k+1} = NF(g_k^p), NF the normal form modulo the
+    ring's basis; zeros are dropped. Frobenius is a ring map fixing F_p, so
+    g_n differs from f^q by an element of I_R, and I_R*e_j is among the
+    relations: the module is the same. Past the deadline the tower stops
+    with ResourceLimit."""
     if ideal.ringspec != module.ringspec:
         raise RingMismatch("ideal and module live over different rings")
     if n < 0:
         raise SemanticError("Frobenius exponent must be nonnegative")
-    S = module.ringspec.ring
-    q = S.p**n
+    rs = module.ringspec
+    S = rs.ring
     gens = list(module.relations)
-    frob = [frobenius_power_poly(f, q) for f in ideal.generators]
+    if rs.basis is None:
+        frob = [frobenius_power_poly(f, S.p**n) for f in ideal.generators]
+    else:
+        nf = normal_forms(rs.basis, deadline)
+        frob = []
+        for f in ideal.generators:
+            g = nf(f)
+            for _ in range(n):
+                g = nf(frobenius_power_poly(g, S.p))
+            if not g.is_zero():
+                frob.append(g)
     for j in range(module.rank):
         for f in frob:
             gens.append(unit_vector(S, module.rank, j, f))
@@ -283,11 +309,14 @@ def presentation_basis(
     ideal: IdealSpec,
     n: int,
     max_basis: int = DEFAULT_MAX_BASIS,
-    max_seconds: float | None = None,
+    *,
+    deadline: float | None = None,
 ) -> GroebnerBasis:
-    """Groebner basis of relations(M) + I^[p^n] acting on every generator."""
-    gens = frobenius_relations(module, ideal, n)
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    """Groebner basis of relations(M) + I^[p^n] acting on every generator.
+
+    The deadline (a time.monotonic() value) covers the Frobenius
+    generators and Buchberger."""
+    gens = frobenius_relations(module, ideal, n, deadline)
     return buchberger(
         gens, rank=module.rank, max_basis=max_basis, deadline=deadline
     )
@@ -300,11 +329,15 @@ def length_mod_frobenius(
     max_basis: int = DEFAULT_MAX_BASIS,
     max_seconds: float | None = None,
 ) -> int:
-    """Length of M / I^[p^n] M: the value of the length function at n."""
-    G = presentation_basis(module, ideal, n, max_basis, max_seconds)
+    """Length of M / I^[p^n] M: the value of the length function at n.
+
+    max_seconds bounds the Frobenius generators, Buchberger and the count
+    together."""
+    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    G = presentation_basis(module, ideal, n, max_basis, deadline=deadline)
     if not is_zero_dimensional(G):
         raise NotZeroDimensional(
             "I^[q]M does not have finite length; the ideal is not primary "
             "to the maximal ideal on this module"
         )
-    return count_standard_monomials(G)
+    return count_standard_monomials(G, deadline)

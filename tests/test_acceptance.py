@@ -64,12 +64,17 @@ def test_additive_error_bound_calibrated_at_first_sample(corpus_report):
 
 
 def test_quintic_curve_alpha_and_periodic_residues(corpus_report):
-    """x^5 +- y^5 for p in {2,3,7}, n <= 8: alpha lands within 1e-3 of 5,
-    the residual tail has period at most 2, and the residues are exactly
-    {-4, -6} in every characteristic."""
-    for stem in ("monsky_p2", "monsky_p3", "monsky_p7"):
+    """x^5 +- y^5 for p in {2,3,7}, n <= 8, and p = 2 up to n = 16: every
+    length is Monsky's 5q - r(5 - r) with r = q mod 5, alpha lands within
+    1e-3 of 5, the residual tail has period at most 2, and the residues are
+    exactly {-4, -6} in every characteristic."""
+    for stem in ("monsky_p2", "monsky_p3", "monsky_p7", "monsky_p2_long"):
         report = corpus_report(stem, "fit")
         assert report["error"] is None, stem
+        for s in report["samples"]:
+            q = int(s["q"])
+            r = q % 5
+            assert int(s["length"]) == 5 * q - r * (5 - r), (stem, s["n"])
         alpha = F(report["analysis"]["alpha"]["extrapolated"])
         assert abs(alpha - 5) <= F(1, 1000), stem
         tail = report["analysis"]["periodic_tail"]

@@ -20,6 +20,7 @@ RUNS = [
     ("monsky_p2", "fit"),
     ("monsky_p3", "fit"),
     ("monsky_p7", "fit"),
+    ("monsky_p2_long", "fit"),
     ("hanmonsky", "fit"),
     ("determinantal", "fit"),
     ("omega", "tau"),
@@ -96,6 +97,15 @@ def test_time_budget_truncates_or_errors():
     else:
         assert report["error"]["type"] == "ResourceLimit"
     assert list(report.keys()) == REPORT_KEYS
+
+
+def test_quintic_fits_a_half_second_budget():
+    """With the Frobenius tower, q = 7^8 on x^5 - y^5 is a handful of small
+    reductions, so every sample fits a 0.5 s budget."""
+    report = run_problem("compute", load_problem("monsky_p7"), n_max_seconds=0.5)
+    assert report["error"] is None
+    assert [s["n"] for s in report["samples"]] == list(range(1, 9))
+    assert report["warnings"] == []
 
 
 # -- subcommand requirements --------------------------------------------------

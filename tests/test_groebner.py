@@ -16,6 +16,7 @@ from hilbertkunz.groebner import (
     is_zero_dimensional,
     krull_dimension,
     normal_form,
+    normal_forms,
     spairs_reduce_to_zero,
     syzygies,
     unit_vector,
@@ -336,3 +337,16 @@ def test_deadline_holds_inside_one_reduction():
     with pytest.raises(ResourceLimit):
         buchberger(gens, rank=2, deadline=start + 0.2)
     assert time.monotonic() - start < 2.0
+
+
+def test_deadline_counts_steps_across_short_reductions():
+    """Each normal form here takes a few heap pops, fewer than one check
+    interval; the count carries over, so a run of them still stops."""
+    S = ring("x y", 2)
+    G = buchberger(polys(S, "x^2 + y", "y^3"))
+    f = parse_polynomial("x^3 + x*y + x", S)
+    assert not normal_forms(G)(f).is_zero()
+    nf = normal_forms(G, deadline=time.monotonic() - 1.0)
+    with pytest.raises(ResourceLimit):
+        for _ in range(100):
+            nf(f)

@@ -1,6 +1,10 @@
 """Module presentations and the length function at Frobenius powers."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hilbertkunz.errors import (
     NotZeroDimensional,
@@ -8,8 +12,13 @@ from hilbertkunz.errors import (
     RingMismatch,
     SemanticError,
 )
-from hilbertkunz.groebner import FreeElement
-from hilbertkunz.oracle import exact_box_count
+from hilbertkunz.groebner import (
+    FreeElement,
+    buchberger,
+    count_standard_monomials,
+    unit_vector,
+)
+from hilbertkunz.oracle import exact_box_count, stable_length
 from hilbertkunz.poly import parse_polynomial, ring
 from hilbertkunz.presentations import (
     RingSpec,
@@ -22,6 +31,7 @@ from hilbertkunz.presentations import (
     maximal_ideal,
     module_presentation,
     present_submodule,
+    presentation_basis,
     quotient_presentation,
     ring_spec,
 )
@@ -191,3 +201,97 @@ def test_time_budget():
     M = free_module(rs, 1)
     with pytest.raises(ResourceLimit):
         length_mod_frobenius(M, I, 6, max_seconds=0.05)
+
+
+def test_count_honours_the_deadline():
+    rs = det_ring()
+    G = presentation_basis(free_module(rs, 1), maximal_ideal(rs), 4)
+    with pytest.raises(ResourceLimit):
+        count_standard_monomials(G, deadline=time.monotonic() - 1.0)
+
+
+def test_tower_honours_the_deadline():
+    """Each tower step reduces (x+y+z+1)^(3*7^k) modulo the diagonal cubic:
+    reductions long enough to reach a deadline check."""
+    rs = ring_spec("x y z", 7, ["x^3 + y^3 + z^3"])
+    f = parse_polynomial("x + y + z + 1", rs.ring)
+    M, I = free_module(rs, 1), ideal_spec(rs, [f * f * f])
+    assert frobenius_relations(M, I, 2)
+    with pytest.raises(ResourceLimit):
+        frobenius_relations(M, I, 2, deadline=time.monotonic() - 1.0)
+
+
+# -- the Frobenius tower against the raw q-th powers ---------------------------
+
+
+def raw_relations(module, ideal, n):
+    """The definition of M/I^[q]M: the presentation relations plus the raw
+    q-th powers of the ideal generators in every component."""
+    S = module.ringspec.ring
+    raw = ideal.frobenius_power(S.p**n).generators
+    return list(module.relations) + [
+        unit_vector(S, module.rank, j, f)
+        for j in range(module.rank)
+        for f in raw
+    ]
+
+
+@st.composite
+def tower_cases(draw):
+    """One ring relation of degree <= 4 in 2-3 variables, an m-primary
+    ideal, and a free, cyclic or rank-2 module, as in the cross-checks."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(2, 3))
+    S = ring(" ".join("xyz"[:nvars]), p)
+
+    def poly(max_degree):
+        terms: dict = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * nvars
+            for i in draw(st.lists(st.integers(0, nvars - 1), max_size=max_degree)):
+                exps[i] += 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
+        return S.from_dict(terms)
+
+    rs = RingSpec(S, (poly(4),))
+    pure = [
+        S.monomial(tuple(draw(st.integers(1, 3)) if j == i else 0
+                         for j in range(nvars)))
+        for i in range(nvars)
+    ]
+    extra = [poly(3) for _ in range(draw(st.integers(0, 2)))]
+    ideal = ideal_spec(rs, pure + [g for g in extra if not g.is_zero()])
+    kind = draw(st.sampled_from(["free", "cyclic", "rank2"]))
+    if kind == "free":
+        module = free_module(rs, 1)
+    elif kind == "cyclic":
+        module = cyclic_module(rs, [poly(3)])
+    else:
+        module = module_presentation(rs, 2, [FreeElement((poly(3), poly(3)))])
+    n = draw(st.integers(0, {2: 3, 3: 2, 5: 1}[p]))
+    return module, ideal, n
+
+
+QUINTIC = ring_spec("x y", 2, ["x^5 + y^5"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_cases())
+@example((free_module(QUINTIC, 1), maximal_ideal(QUINTIC), 2))
+def test_tower_gives_the_module_of_the_raw_powers(case):
+    module, ideal, n = case
+    raw = buchberger(raw_relations(module, ideal, n), rank=module.rank)
+    assert length_mod_frobenius(module, ideal, n) == count_standard_monomials(raw)
+
+
+@pytest.mark.parametrize(
+    "rs,n", [(QUINTIC, 1), (QUINTIC, 2), (QUINTIC, 3), (det_ring(), 1)]
+)
+def test_oracle_on_the_raw_definition_matches_the_tower(rs, n):
+    """The oracle never sees tower generators: it counts the raw q-th
+    powers, and must land on the engine's length."""
+    module, ideal = free_module(rs, 1), maximal_ideal(rs)
+    walk = stable_length(raw_relations(module, ideal, n), 1, rs.p)
+    assert walk.stable
+    assert walk.count == length_mod_frobenius(module, ideal, n)

@@ -246,7 +246,7 @@ def test_serialize_covers_every_key():
 
 def test_corpus_files_parse():
     stems = sorted(f.stem for f in CORPUS.glob("*.hk"))
-    assert len(stems) == 8
+    assert len(stems) == 9
     for stem in stems:
         pf = parse_problem((CORPUS / f"{stem}.hk").read_text())
         assert pf.n_min >= 1
