@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from operator import add
+from math import prod
+from operator import add, sub
 
 from .errors import (
     HilbertKunzError,
@@ -222,20 +223,16 @@ class _Reducer:
                 "time budget exceeded", partial_basis_size=len(self.elements)
             )
 
-    def find_divisor(self, comp: int, exps: Exponents, exclude: int = -1):
+    def find_divisor(self, comp: int, exps: Exponents):
         for idx in self.mono_by_comp[comp]:
-            if idx != exclude and self.alive[idx] and monomial_divides(
-                self.lead[idx][1], exps
-            ):
+            if self.alive[idx] and monomial_divides(self.lead[idx][1], exps):
                 return idx
         for idx in self.gen_by_comp[comp]:
-            if idx != exclude and self.alive[idx] and monomial_divides(
-                self.lead[idx][1], exps
-            ):
+            if self.alive[idx] and monomial_divides(self.lead[idx][1], exps):
                 return idx
         return -1
 
-    def reduce(self, work: dict, heap: list, exclude: int = -1):
+    def reduce(self, work: dict, heap: list):
         """Full normal form of the work dict; returns canonical term list."""
         p = self.p
         keyed = self.keyed
@@ -251,14 +248,14 @@ class _Reducer:
             c = work.get((comp, exps))
             if not c:
                 continue
-            ridx = self.find_divisor(comp, exps, exclude)
+            ridx = self.find_divisor(comp, exps)
             if ridx < 0:
                 out.append((key, comp, exps, c))
                 del work[(comp, exps)]
                 continue
             rterms = self.elements[ridx]
             _, _, rexps, _ = rterms[0]
-            shift = tuple(map(lambda a, b: a - b, exps, rexps))
+            shift = tuple(map(sub, exps, rexps))
             del work[(comp, exps)]
             if len(rterms) == 1:
                 continue
@@ -280,22 +277,22 @@ class _Reducer:
         self.steps = steps
         return out
 
-    def normal_form_terms(self, terms, exclude: int = -1):
+    def normal_form_terms(self, terms):
         work = {}
         heap = []
         for key, j, exps, c in terms:
             work[(j, exps)] = c
             heap.append((key, j, exps))
         heapq.heapify(heap)
-        return self.reduce(work, heap, exclude)
+        return self.reduce(work, heap)
 
     def spoly_terms(self, i: int, j: int):
         """S-vector of two monic elements with equal leading component."""
         ti, tj = self.elements[i], self.elements[j]
         (_, ci, ei, _), (_, cj, ej, _) = ti[0], tj[0]
         lcm = monomial_lcm(ei, ej)
-        si = tuple(map(lambda a, b: a - b, lcm, ei))
-        sj = tuple(map(lambda a, b: a - b, lcm, ej))
+        si = tuple(map(sub, lcm, ei))
+        sj = tuple(map(sub, lcm, ej))
         keyed = self.keyed
         p = self.p
         work: dict = {}
@@ -397,12 +394,13 @@ def _buchberger_engine(
 
 
 def _reduced_from_engine(red: _Reducer) -> list:
-    """Tail-reduce the live elements. No live lead divides another, so
-    they already form a minimal basis."""
+    """Tail-reduce the live elements. No live lead divides another, so they
+    already form a minimal basis, and a lead divides none of the smaller
+    terms its reduction meets: only the tails need reducing."""
     return [
-        red.normal_form_terms(red.elements[i], exclude=i)
-        for i in range(len(red.elements))
-        if red.alive[i]
+        [terms[0], *red.normal_form_terms(terms[1:])]
+        for terms, alive in zip(red.elements, red.alive)
+        if alive
     ]
 
 
@@ -534,13 +532,6 @@ def syzygies(generators) -> list[FreeElement]:
 # -- staircase combinatorics --------------------------------------------------
 
 
-def _leads_by_component(G: GroebnerBasis) -> list[list[Exponents]]:
-    by_comp: list[list[Exponents]] = [[] for _ in range(G.rank)]
-    for comp, exps in G.leading_terms():
-        by_comp[comp].append(exps)
-    return by_comp
-
-
 def _check_deadline(deadline: float | None):
     if deadline is not None and time.monotonic() > deadline:
         raise ResourceLimit("time budget exceeded")
@@ -559,83 +550,65 @@ def _minimalize(monos: list[Exponents], deadline: float | None = None) -> list[E
     return out
 
 
-def is_zero_dimensional(G: GroebnerBasis) -> bool:
-    """Every (variable, component) needs a pure-power leading term."""
+def _staircases(G: GroebnerBasis) -> list[tuple[list[int], list[Exponents]]]:
+    """(box, others) for each component of a reduced basis that holds no
+    unit: box[i] is the exponent of the pure power of x_i among the leads,
+    others the leads in two or more variables.
+
+    The leads of a reduced basis are minimal, so each variable has at most
+    one pure power and every other lead lies strictly inside the box.
+    Raises NotZeroDimensional when a variable has no pure power."""
     v = G.ring.nvars
-    for leads in _leads_by_component(G):
-        have = set()
+    by_comp: list[list[Exponents]] = [[] for _ in range(G.rank)]
+    for comp, exps in G.leading_terms():
+        by_comp[comp].append(exps)
+    out = []
+    for leads in by_comp:
+        box: list = [None] * v
+        others = []
         for e in leads:
             support = [i for i, x in enumerate(e) if x > 0]
-            if len(support) == 0:
-                have.update(range(v))
-            elif len(support) == 1:
-                have.add(support[0])
-        if len(have) < v:
-            return False
+            if len(support) == 1:
+                box[support[0]] = e[support[0]]
+            elif support:
+                others.append(e)
+            else:
+                break  # a unit: the component contributes nothing
+        else:
+            if None in box:
+                raise NotZeroDimensional(
+                    "I^[q]M does not have finite length; the ideal is not "
+                    "primary to the maximal ideal on this module"
+                )
+            out.append((box, others))
+    return out
+
+
+def is_zero_dimensional(G: GroebnerBasis) -> bool:
+    """Every (variable, component) needs a pure-power leading term, unless
+    the component holds a unit."""
+    try:
+        _staircases(G)
+    except NotZeroDimensional:
+        return False
     return True
 
 
-def _box_and_others(leads: list[Exponents], v: int, deadline: float | None):
-    box = [None] * v
-    others = []
-    for e in _minimalize(leads, deadline):
-        support = [i for i, x in enumerate(e) if x > 0]
-        if len(support) == 0:
-            return None, None  # unit: component dies
-        if len(support) == 1:
-            i = support[0]
-            if box[i] is None or e[i] < box[i]:
-                box[i] = e[i]
-        else:
-            others.append(e)
-    if any(b is None for b in box):
-        raise NotZeroDimensional(
-            "no pure-power leading term for some variable"
-        )
-    others = [e for e in others if all(x < b for x, b in zip(e, box))]
-    return box, others
-
-
 def _count_box(box, others, nodes, deadline) -> int:
-    """Monomials in the box below every generator, by corner splitting.
+    """Monomials in the box that no generator divides, by corner splitting.
 
-    nodes[0] counts the nodes visited; the deadline is checked every 16
-    nodes and inside _minimalize."""
+    The generators are minimal and lie strictly inside the box. nodes[0]
+    counts the nodes visited; the deadline is checked every 16 nodes and
+    inside _minimalize."""
     nodes[0] += 1
     if nodes[0] > COUNT_NODE_LIMIT:
         raise ResourceLimit("standard-monomial counting budget exceeded")
     if nodes[0] & 15 == 0:
         _check_deadline(deadline)
-    others = _minimalize(others, deadline)
-    others = [e for e in others if all(x < b for x, b in zip(e, box))]
-    if len(others) <= 8:
-        # inclusion-exclusion over generator subsets
-        total = 0
-        n = len(others)
-        for mask in range(1 << n):
-            lcm = [0] * len(box)
-            bits = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    bits += 1
-                    e = others[i]
-                    for t, x in enumerate(e):
-                        if x > lcm[t]:
-                            lcm[t] = x
-                m >>= 1
-                i += 1
-            prod = 1
-            for t, b in enumerate(box):
-                width = b - lcm[t]
-                if width <= 0:
-                    prod = 0
-                    break
-                prod *= width
-            total += -prod if bits & 1 else prod
-        return total
-    # pivot on the busiest variable at its median positive exponent
+    if len(others) <= 1:
+        return prod(box) - sum(prod(map(sub, box, e)) for e in others)
+    # pivot on the busiest variable at its median positive exponent, which
+    # lies in 1..box-1 since every generator is inside the box
     v = len(box)
     best_var, best_hits = -1, -1
     for i in range(v):
@@ -644,40 +617,33 @@ def _count_box(box, others, nodes, deadline) -> int:
             best_hits, best_var = hits, i
     exps = sorted(e[best_var] for e in others if e[best_var] > 0)
     t = exps[len(exps) // 2]
-    if t >= box[best_var]:
-        t = box[best_var] - 1
-    if t < 1:
-        t = 1
-    # branch 1: add pure power x_best^t (tighten the box)
+    # branch 1: add pure power x_best^t (tighten the box); a subset of
+    # minimal generators stays minimal
     box1 = list(box)
     box1[best_var] = t
     others1 = [e for e in others if e[best_var] < t]
     n1 = _count_box(box1, others1, nodes, deadline)
-    # branch 2: colon by x_best^t
+    # branch 2: colon by x_best^t, which can make generators non-minimal
     box2 = list(box)
     box2[best_var] = box[best_var] - t
-    others2 = [
-        tuple((x - t if i == best_var and x > t else (0 if i == best_var else x))
-              for i, x in enumerate(e))
-        for e in others
-    ]
+    others2 = _minimalize(
+        [e[:best_var] + (max(e[best_var] - t, 0),) + e[best_var + 1:] for e in others],
+        deadline,
+    )
     n2 = _count_box(box2, others2, nodes, deadline)
     return n1 + n2
 
 
 def count_standard_monomials(G: GroebnerBasis, deadline: float | None = None) -> int:
-    """Number of monomial-component pairs outside the leading-term module.
+    """Number of monomial-component pairs outside the leading-term module
+    of a reduced basis.
 
-    Past the deadline the count stops with ResourceLimit."""
-    v = G.ring.nvars
-    total = 0
+    Raises NotZeroDimensional when that number is infinite; past the
+    deadline the count stops with ResourceLimit."""
     nodes = [0]
-    for leads in _leads_by_component(G):
-        box, others = _box_and_others(leads, v, deadline)
-        if box is None:
-            continue
-        total += _count_box(box, others, nodes, deadline)
-    return total
+    return sum(
+        _count_box(box, others, nodes, deadline) for box, others in _staircases(G)
+    )
 
 
 def krull_dimension(G: GroebnerBasis) -> int:

@@ -55,20 +55,6 @@ class MonomialOrder:
         return (-sum(exponents), *reversed(exponents))
 
 
-def standard_order(kind: str, nvars: int) -> MonomialOrder:
-    return MonomialOrder(kind)
-
-
-def compare_monomials(m1: Exponents, m2: Exponents, order: MonomialOrder) -> int:
-    """-1, 0, or 1 as m1 <, ==, > m2 under the order."""
-    if len(m1) != len(m2):
-        raise RingMismatch("monomials have different variable counts")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 == k2:
-        return 0
-    return 1 if k1 < k2 else -1
-
-
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -140,7 +126,7 @@ class PolyRing:
 def ring(spec: str, p: int, kind: str = "grevlex") -> PolyRing:
     """Convenience constructor: ring("x,y", 5) or ring("x y", 5, "lex")."""
     names = tuple(spec.replace(",", " ").split())
-    return PolyRing(p, names, standard_order(kind, len(names)))
+    return PolyRing(p, names, MonomialOrder(kind))
 
 
 class Polynomial:
@@ -168,21 +154,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def leading_monomial(self) -> Exponents:
-        if not self.terms:
-            raise HilbertKunzError("zero polynomial has no leading term")
-        return self.terms[0][0]
-
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise HilbertKunzError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise HilbertKunzError("zero polynomial has no degree")
-        return max(sum(e) for e, _ in self.terms)
 
     def as_dict(self) -> dict[Exponents, int]:
         return dict(self.terms)
@@ -240,12 +211,6 @@ class Polynomial:
             return self.ring.zero()
         p = self.ring.p
         return Polynomial(self.ring, tuple((e, ci * c % p) for e, ci in self.terms))
-
-    def shift(self, exponents: Exponents) -> Polynomial:
-        """Multiply by the monomial with the given exponents."""
-        return Polynomial(
-            self.ring, tuple((monomial_mul(e, exponents), c) for e, c in self.terms)
-        )
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:

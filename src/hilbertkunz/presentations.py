@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    NotZeroDimensional,
     RankMismatch,
     RingMismatch,
     SemanticError,
@@ -24,7 +23,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     count_standard_monomials,
-    is_zero_dimensional,
     krull_dimension,
     normal_forms,
     syzygies,
@@ -332,12 +330,8 @@ def length_mod_frobenius(
     """Length of M / I^[p^n] M: the value of the length function at n.
 
     max_seconds bounds the Frobenius generators, Buchberger and the count
-    together."""
+    together. The count raises NotZeroDimensional when the length is
+    infinite."""
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     G = presentation_basis(module, ideal, n, max_basis, deadline=deadline)
-    if not is_zero_dimensional(G):
-        raise NotZeroDimensional(
-            "I^[q]M does not have finite length; the ideal is not primary "
-            "to the maximal ideal on this module"
-        )
     return count_standard_monomials(G, deadline)

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, syzygies, staircase counting."""
 
+import itertools
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from hilbertkunz.errors import HilbertKunzError, ResourceLimit
+from hilbertkunz import groebner
+from hilbertkunz.errors import HilbertKunzError, NotZeroDimensional, ResourceLimit
 from hilbertkunz.groebner import (
     FreeElement,
     buchberger,
@@ -22,6 +24,12 @@ from hilbertkunz.groebner import (
     unit_vector,
 )
 from hilbertkunz.poly import monomial_divides, parse_polynomial, ring
+from hilbertkunz.presentations import (
+    free_module,
+    maximal_ideal,
+    presentation_basis,
+    ring_spec,
+)
 
 
 def polys(S, *texts):
@@ -294,7 +302,66 @@ def test_not_zero_dimensional():
     S = ring("x y", 5)
     G = buchberger(polys(S, "x^2"))
     assert not is_zero_dimensional(G)
-    with pytest.raises(HilbertKunzError):
+    with pytest.raises(NotZeroDimensional):
+        count_standard_monomials(G)
+
+
+@st.composite
+def monomial_staircases(draw):
+    """Monomial submodules in 2-4 variables with exponents up to 5: every
+    pure power (listed first), mixed generators, the degree-k monomials
+    (a power of the maximal ideal), multiples of generators and
+    duplicates. Rank 2 adds a component that holds a unit. Returns
+    (rank, the staircase's exponents, all generators)."""
+    nvars = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, 2))
+    comp = draw(st.integers(0, rank - 1))
+    exps = st.tuples(*[st.integers(0, 5)] * nvars).filter(any)
+    stair = [
+        tuple(draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars))
+        for i in range(nvars)
+    ]
+    stair += draw(st.lists(exps, max_size=8))
+    k = draw(st.integers(0, 5))  # m^k, every monomial of degree k, for k >= 2
+    if k >= 2:
+        cube = itertools.product(range(k + 1), repeat=nvars)
+        stair += [e for e in cube if sum(e) == k]
+    for g in draw(st.lists(st.sampled_from(stair), max_size=3)):
+        stair.append(tuple(min(x + y, 5) for x, y in zip(g, draw(exps))))
+    stair += draw(st.lists(st.sampled_from(stair), max_size=2))
+    S = ring("a b c d"[: 2 * nvars - 1], 2)
+    gens = [unit_vector(S, rank, comp, S.monomial(e)) for e in stair]
+    if rank == 2:
+        for e in [(0,) * nvars] + draw(st.lists(exps, max_size=2)):
+            gens.append(unit_vector(S, rank, 1 - comp, S.monomial(e)))
+    return rank, stair, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_staircases())
+def test_count_matches_brute_force(case):
+    """The staircase count equals the monomials of the box of pure powers
+    that no generator divides; a unit component counts nothing."""
+    rank, stair, gens = case
+    box = [stair[i][i] for i in range(len(stair[0]))]  # the drawn pure powers
+    want = sum(
+        1
+        for m in itertools.product(*map(range, box))
+        if not any(monomial_divides(e, m) for e in stair)
+    )
+    G = buchberger(gens, rank=rank)
+    assert is_zero_dimensional(G)
+    assert count_standard_monomials(G) == want
+
+
+def test_count_node_cap(monkeypatch):
+    """The count stops with ResourceLimit past COUNT_NODE_LIMIT nodes."""
+    rs = ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
+    G = presentation_basis(free_module(rs, 1), maximal_ideal(rs), 4)
+    monkeypatch.setattr(groebner, "COUNT_NODE_LIMIT", 100)
+    with pytest.raises(
+        ResourceLimit, match="standard-monomial counting budget exceeded"
+    ):
         count_standard_monomials(G)
 
 

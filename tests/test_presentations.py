@@ -184,7 +184,7 @@ def test_not_zero_dimensional_rejected():
     rs = ring_spec("x y", 2)
     I = ideal_spec(rs, ["x"])
     M = free_module(rs, 1)
-    with pytest.raises(NotZeroDimensional):
+    with pytest.raises(NotZeroDimensional, match="does not have finite length"):
         length_mod_frobenius(M, I, 1)
 
 
