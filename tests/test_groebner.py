@@ -23,7 +23,7 @@ from hilbertkunz.groebner import (
     syzygies,
     unit_vector,
 )
-from hilbertkunz.poly import monomial_divides, parse_polynomial, ring
+from hilbertkunz.poly import monomial_divides, monomial_lcm, parse_polynomial, ring
 from hilbertkunz.presentations import (
     free_module,
     maximal_ideal,
@@ -185,6 +185,73 @@ def test_basis_is_reduced_groebner_basis(case):
                 assert not any(
                     c == comp and monomial_divides(lt, exps) for c, lt in leads
                 )
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+@st.composite
+def packed_operands(draw):
+    """Two exponent vectors that fit w-bit fields, edge values favoured,
+    and a query whose fields may be far wider than w."""
+    nvars = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 24))
+    cap = (1 << w) - 1
+    field = st.one_of(st.sampled_from([0, 1, cap - 1, cap]), st.integers(0, cap))
+    vector = st.tuples(*[field] * nvars)
+    wide = st.tuples(*[st.integers(0, 1 << (w + 3))] * nvars)
+    return w, draw(vector), draw(vector), draw(wide)
+
+
+@settings(max_examples=500, deadline=None)
+@given(packed_operands())
+def test_packed_primitives_match_the_tuple_helpers(case):
+    """The divisor scan, the pair update and the count trust these; the
+    basis tests alone would not catch a packed-divisor bug shared by
+    Buchberger and spairs_reduce_to_zero."""
+    w, a, b, wide = case
+    packing = groebner._Packing(len(a), w)
+    guards = packing.guards
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.fits(a) and packing.unpack(pa) == a
+    assert groebner._divides(pa, pb, guards) == monomial_divides(a, b)
+    assert groebner._lcm(pa, pb, guards, w) == packing.pack(monomial_lcm(a, b))
+    coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+    assert (groebner._lcm(pa, pb, guards, w) == pa + pb) == coprime
+    if monomial_divides(a, b):
+        assert pa <= pb  # sorting packed ints puts divisors first
+    query = packing.pack_clamped(wide)
+    assert groebner._divides(pa, query, guards) == monomial_divides(a, wide)
+
+
+REPACK_CASES = [
+    # x^2 reduces to y^4 by x + y^2: a lead with a wider exponent than
+    # any input term
+    (["x + y^2", "x^2"], "x y", ["x + y^2", "y^4"]),
+    # y^4 arrives while pairs are queued: their lcms must move to the new
+    # width, or criterion B drops a pair the basis needs
+    (
+        ["x^2 + y^2", "x*y^2", "z^2 + x^2*y^2*z^2 + y*z"],
+        "x y z",
+        ["x^2 + y^2", "x*y^2", "x*z^3", "y^4", "y*z + z^2", "z^5"],
+    ),
+]
+
+
+@pytest.mark.parametrize("gens, names, basis", REPACK_CASES)
+def test_engine_repacks_when_a_lead_outgrows_the_width(monkeypatch, gens, names, basis):
+    S = ring(names, 2, "lex")
+    widths = []
+
+    def recorded(nvars, w):
+        widths.append(w)
+        return groebner._Packing(nvars, w)
+
+    monkeypatch.setattr(groebner, "_packing", recorded)
+    G = buchberger(polys(S, *gens))
+    assert widths == [2, 3]  # from the inputs' exponent 2, then for y^4
+    assert [e.components[0] for e in G.elements] == polys(S, *basis)
+    assert spairs_reduce_to_zero(G)
 
 
 # -- module bases ---------------------------------------------------------------
