@@ -6,9 +6,10 @@
 
 PARENT_DIR and CHANGE_DIR are source checkouts (`git clone` + `git
 checkout`); each run executes the checkout's own perfbench/run.py from
-its root, with the same settings on both sides. Pair k runs seed
---seed + k on both sides, parent first when k is even and change first
-when it is odd, so drift in the machine's load falls on both sides alike.
+its root, on every workload of BENCHMARK.json and for its run_seconds,
+the same on both sides. Pair k runs seed 1 + k on both sides, parent
+first when k is even and change first when it is odd, so drift in the
+machine's load falls on both sides alike.
 
 For every workload and end-to-end metric the file holds each side's runs,
 median and quartiles, and how many pairs the change read lower (every
@@ -29,7 +30,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ["frobenius_tower", "spairs", "modules", "oracle_check"]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def label(checkout: Path) -> str:
@@ -43,10 +46,10 @@ def label(checkout: Path) -> str:
     return commit + ("+dirty" if git("status", "--porcelain", "-uno") else "")
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     out = json.loads(proc.stdout.splitlines()[-1])
@@ -67,14 +70,13 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def interleaved(sides: dict, workload: str, args, pairs: int, trace: int) -> list[dict]:
+def interleaved(sides: dict, workload: str, pairs: int, trace: int) -> list[dict]:
     out = []
     for k in range(pairs):
-        seed = args.seed + k
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         pair = {}
         for side in order:
-            pair[side] = run(sides[side], workload, seed, args.seconds, trace)
+            pair[side] = run(sides[side], workload, 1 + k, trace)
             m = pair[side]["metrics"]
             shown = m.get("wall_s", m.get("trace.wall_s"))
             print(f"{workload} trace={trace} pair {k} {side}: {shown:.4f} s, "
@@ -103,10 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace-workloads", nargs="*", choices=WORKLOADS, default=["spairs"])
     parser.add_argument("--trace-pairs", type=int, default=3)
     args = parser.parse_args(argv)
@@ -117,13 +116,13 @@ def main(argv=None) -> int:
         "change": label(sides["change"]),
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0))},
-        "settings": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
+        "settings": {"pairs": args.pairs, "seed": 1, "seconds": SECONDS,
                      "order": "parent first in even pairs, change first in odd"},
         "end_to_end": {},
         "per_layer": {},
     }
-    for workload in args.workloads:
-        pairs = interleaved(sides, workload, args, args.pairs, trace=0)
+    for workload in WORKLOADS:
+        pairs = interleaved(sides, workload, args.pairs, trace=0)
         names = list(pairs[0]["parent"]["metrics"])
         result["end_to_end"][workload] = {
             "metrics": summary(pairs, names),
@@ -131,7 +130,7 @@ def main(argv=None) -> int:
                        for side in sides},
         }
     for workload in args.trace_workloads if args.trace_pairs > 0 else []:
-        pairs = interleaved(sides, workload, args, args.trace_pairs, trace=1)
+        pairs = interleaved(sides, workload, args.trace_pairs, trace=1)
         names = list(pairs[0]["parent"]["metrics"])
         result["per_layer"][workload] = summary(pairs, names)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
