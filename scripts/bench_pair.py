@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Interleaved parent/change runs of perfbench/run.py, written to one BENCH file.
 
-    python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --pairs 10 \\
-        --trace-pairs 3 --out BENCH_<tag>.json
+    python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --out BENCH_<tag>.json
 
 PARENT_DIR and CHANGE_DIR are source checkouts (`git clone` + `git
 checkout`); each run executes the checkout's own perfbench/run.py from
 its root, on every workload of BENCHMARK.json and for its run_seconds,
-the same on both sides. Pair k runs seed 1 + k on both sides, parent
-first when k is even and change first when it is odd, so drift in the
-machine's load falls on both sides alike.
+the same on both sides, PAIRS pairs per workload. Pair k runs seed 1 + k
+on both sides, parent first when k is even and change first when it is
+odd, so drift in the machine's load falls on both sides alike.
 
 For every workload and end-to-end metric the file holds each side's runs,
 median and quartiles, and how many pairs the change read lower (every
 end-to-end metric is lower-is-better; ties count for neither side), plus
-the ops attempted and failed per run. --trace-pairs further pairs of
---trace 1 runs on --trace-workloads add the per-layer medians of both
+the ops attempted and failed per run. TRACE_PAIRS further pairs of
+--trace 1 runs on TRACE_WORKLOADS add the per-layer medians of both
 sides.
 """
 
@@ -33,6 +32,9 @@ from pathlib import Path
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
+TRACE_WORKLOADS = ["spairs"]
+TRACE_PAIRS = 3
 
 
 def label(checkout: Path) -> str:
@@ -105,9 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trace-workloads", nargs="*", choices=WORKLOADS, default=["spairs"])
-    parser.add_argument("--trace-pairs", type=int, default=3)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -116,21 +115,21 @@ def main(argv=None) -> int:
         "change": label(sides["change"]),
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0))},
-        "settings": {"pairs": args.pairs, "seed": 1, "seconds": SECONDS,
+        "settings": {"pairs": PAIRS, "seed": 1, "seconds": SECONDS,
                      "order": "parent first in even pairs, change first in odd"},
         "end_to_end": {},
         "per_layer": {},
     }
     for workload in WORKLOADS:
-        pairs = interleaved(sides, workload, args.pairs, trace=0)
+        pairs = interleaved(sides, workload, PAIRS, trace=0)
         names = list(pairs[0]["parent"]["metrics"])
         result["end_to_end"][workload] = {
             "metrics": summary(pairs, names),
             "failed": {side: [f"{p[side]['failed']}/{p[side]['attempted']}" for p in pairs]
                        for side in sides},
         }
-    for workload in args.trace_workloads if args.trace_pairs > 0 else []:
-        pairs = interleaved(sides, workload, args.trace_pairs, trace=1)
+    for workload in TRACE_WORKLOADS:
+        pairs = interleaved(sides, workload, TRACE_PAIRS, trace=1)
         names = list(pairs[0]["parent"]["metrics"])
         result["per_layer"][workload] = summary(pairs, names)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -174,11 +174,12 @@ def _element_terms(e: FreeElement, keyed: _Keyed):
 
 
 def _terms_to_element(terms, keyed: _Keyed) -> FreeElement:
-    ring = keyed.ring
-    comps: list[dict] = [dict() for _ in range(keyed.rank)]
+    """The engine's term lists are sorted leading-first with coefficients in
+    [1, p), so each component is already in canonical order."""
+    comps: list[list] = [[] for _ in range(keyed.rank)]
     for _, j, exps, c in terms:
-        comps[j][exps] = c
-    return FreeElement(tuple(ring.from_dict(d) for d in comps))
+        comps[j].append((exps, c))
+    return FreeElement(tuple(Polynomial(keyed.ring, tuple(t)) for t in comps))
 
 
 def _monic_terms(terms, p: int):
@@ -253,17 +254,17 @@ class _Reducer:
 
     Each lead is held as (component, exponents) and packed under
     `packing`; a lead that does not fit re-packs every lead at its width.
-    find_divisor packs the popped term once and tests each live lead of
-    its component with one subtraction and a mask, so a pop costs from a
-    microsecond to about 0.1 ms (a full scan of 1,125 leads, where the
-    tuple scan took 1.2 ms).
+    The divisor scan in reduce packs the popped term once and tests each
+    live lead of its component with one subtraction and a mask, so a pop
+    costs from a microsecond to about 0.1 ms (a full scan of 1,125 leads,
+    where the tuple scan took 1.2 ms).
 
     A deadline (a time.monotonic() value) makes every reduction stop with
     ResourceLimit once it has passed, checked every 16 heap pops counted
     across reductions, so many short reductions are covered too.
     """
 
-    def __init__(self, keyed: _Keyed, p: int, deadline: float | None = None, width: int = 1):
+    def __init__(self, keyed: _Keyed, p: int, deadline: float | None, width: int):
         self.keyed = keyed
         self.p = p
         self.deadline = deadline
@@ -272,9 +273,9 @@ class _Reducer:
         self.elements: list[list] = []  # term lists, monic
         self.lead: list[tuple[int, Exponents]] = []
         self.packed: list[int] = []  # lead exponents under self.packing
-        self.alive: list[bool] = []
-        # per component, the live elements find_divisor scans, in index
-        # order: single-term elements, then general ones
+        # per component, the live elements the divisor scan visits, in
+        # index order: single-term elements, then general ones; kill
+        # removes one
         self.mono_by_comp: list[list[int]] = [[] for _ in range(keyed.rank)]
         self.gen_by_comp: list[list[int]] = [[] for _ in range(keyed.rank)]
 
@@ -288,7 +289,6 @@ class _Reducer:
             self.packing = _packing(len(exps), _width([exps]))
             self.packed = [self.packing.pack(e) for _, e in self.lead[:-1]]
         self.packed.append(self.packing.pack(exps))
-        self.alive.append(True)
         if len(terms) == 1:
             self.mono_by_comp[j].append(idx)
         else:
@@ -296,7 +296,6 @@ class _Reducer:
         return idx
 
     def kill(self, idx: int):
-        self.alive[idx] = False
         j = self.lead[idx][0]
         if len(self.elements[idx]) == 1:
             self.mono_by_comp[j].remove(idx)
@@ -309,22 +308,17 @@ class _Reducer:
                 "time budget exceeded", partial_basis_size=len(self.elements)
             )
 
-    def find_divisor(self, comp: int, exps: Exponents):
-        G = self.packing.guards
-        q = self.packing.pack_clamped(exps) | G
-        packed = self.packed
-        for idx in self.mono_by_comp[comp]:
-            if (q - packed[idx]) & G == G:
-                return idx
-        for idx in self.gen_by_comp[comp]:
-            if (q - packed[idx]) & G == G:
-                return idx
-        return -1
-
     def reduce(self, work: dict, heap: list):
         """Full normal form of the work dict; returns canonical term list."""
         p = self.p
         keyed = self.keyed
+        elements = self.elements
+        # no element is added or killed during a reduction, so the packing
+        # and the scan lists hold for all of it
+        pack_query = self.packing.pack_clamped
+        G = self.packing.guards
+        packed = self.packed
+        mono_by_comp, gen_by_comp = self.mono_by_comp, self.gen_by_comp
         out = []
         pop = heapq.heappop
         push = heapq.heappush
@@ -332,17 +326,26 @@ class _Reducer:
         while heap:
             steps += 1
             if steps & 15 == 0:
+                self.steps = steps  # kept when the deadline stops the reduction
                 self.check_deadline()
             key, comp, exps = pop(heap)
             c = work.get((comp, exps))
             if not c:
                 continue
-            ridx = self.find_divisor(comp, exps)
-            if ridx < 0:
-                out.append((key, comp, exps, c))
-                del work[(comp, exps)]
-                continue
-            rterms = self.elements[ridx]
+            # the divisor scan: single-term leads first, then the others
+            q = pack_query(exps) | G
+            for ridx in mono_by_comp[comp]:
+                if (q - packed[ridx]) & G == G:
+                    break
+            else:
+                for ridx in gen_by_comp[comp]:
+                    if (q - packed[ridx]) & G == G:
+                        break
+                else:
+                    out.append((key, comp, exps, c))
+                    del work[(comp, exps)]
+                    continue
+            rterms = elements[ridx]
             _, _, rexps, _ = rterms[0]
             shift = tuple(map(sub, exps, rexps))
             del work[(comp, exps)]
@@ -497,10 +500,10 @@ def _reduced_from_engine(red: _Reducer) -> list:
     """Tail-reduce the live elements. No live lead divides another, so they
     already form a minimal basis, and a lead divides none of the smaller
     terms its reduction meets: only the tails need reducing."""
+    live = chain.from_iterable(red.mono_by_comp + red.gen_by_comp)
     return [
         [terms[0], *red.normal_form_terms(terms[1:])]
-        for terms, alive in zip(red.elements, red.alive)
-        if alive
+        for terms in map(red.elements.__getitem__, live)
     ]
 
 
@@ -554,9 +557,11 @@ def buchberger(
 
 def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
     keyed = _Keyed(G.ring, G.rank)
-    red = _Reducer(keyed, G.ring.p, deadline)
-    for e in G.elements:
-        red.add(_element_terms(e, keyed))
+    elements = [_element_terms(e, keyed) for e in G.elements]
+    # sized from the leads: queries wider than them are clamped, not re-packed
+    red = _Reducer(keyed, G.ring.p, deadline, _width(t[0][2] for t in elements))
+    for terms in elements:
+        red.add(terms)
     return red
 
 
