@@ -14,7 +14,9 @@ per vector, each variable a field of w bits with a guard bit above it.
 Then a | b is one subtraction and one mask, and lcm a few more, whatever
 the number of variables. The width comes from the input's largest
 exponent; a lead that outgrows it makes the engine re-pack at a wider w.
-The tuple helpers in poly.py stay the reference.
+A basis loaded for normal forms takes the width of its leads, and a
+reduced term with a wider field is clamped. The tuple helpers in poly.py
+stay the reference.
 """
 
 from __future__ import annotations
