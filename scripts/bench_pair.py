@@ -4,11 +4,12 @@
     python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --out BENCH_<tag>.json
 
 PARENT_DIR and CHANGE_DIR are source checkouts (`git clone` + `git
-checkout`); each run executes the checkout's own perfbench/run.py from
-its root, on every workload of BENCHMARK.json and for its run_seconds,
-the same on both sides, PAIRS pairs per workload. Pair k runs seed 1 + k
-on both sides, parent first when k is even and change first when it is
-odd, so drift in the machine's load falls on both sides alike.
+checkout`); if one holds compiled bytecode, the other must too. Each run
+executes the checkout's own perfbench/run.py from its root, on every
+workload of BENCHMARK.json and for its run_seconds, the same on both
+sides, PAIRS pairs per workload. Pair k runs seed 1 + k on both sides,
+parent first when k is even and change first when it is odd, so drift in
+the machine's load falls on both sides alike.
 
 For every workload and end-to-end metric the file holds each side's runs,
 median and quartiles, and how many pairs the change read lower (every
@@ -110,6 +111,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # setup_s times a fresh interpreter's import, which compiled bytecode
+    # left in only one checkout would halve on that side alone
+    compiled = {side: any(root.rglob("__pycache__")) for side, root in sides.items()}
+    if compiled["parent"] != compiled["change"]:
+        parser.error(f"only one checkout holds __pycache__ directories: {compiled}")
     result = {
         "parent": label(sides["parent"]),
         "change": label(sides["change"]),
