@@ -11,11 +11,12 @@ when callers format output.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InsufficientSamples, ResourceLimit, SampleMismatch
-from .groebner import DEFAULT_MAX_BASIS, FreeElement
+from .groebner import FreeElement
 from .presentations import (
     IdealSpec,
     ModulePresentation,
@@ -25,7 +26,7 @@ from .presentations import (
     quotient_presentation,
 )
 
-DEFAULT_PERIOD_MAX = 6
+PERIOD_MAX = 6
 PIN_DENOMINATOR_CAP = 10**12
 
 
@@ -180,18 +181,20 @@ class AsymptoticReport:
 def sample_hk(
     ringspec: RingSpec,
     ideal: IdealSpec,
-    module: ModulePresentation,
+    modules: Sequence[ModulePresentation],
     n_min: int,
     n_max: int,
     dim: int | None = None,
     max_seconds: float | None = None,
-    max_basis: int = DEFAULT_MAX_BASIS,
-) -> HKSeries:
-    """Sample the length function for n_min..n_max, one n after another.
+) -> tuple[HKSeries, ...]:
+    """Sample the length functions of several modules for n_min..n_max,
+    one n after another, every module at each n.
 
-    Each n is an independent computation. A per-sample time budget turns
-    into a truncated series: sampling stops at the first n that runs out,
-    with a note on the series.
+    Each sample is an independent computation. A resource limit (such as
+    the per-sample time budget) stops every series together at the first n
+    where some module runs out, so the series keep equal, consecutive
+    n ranges and share one set of notes. ResourceLimit is raised when not
+    even n_min completes.
     """
     if n_min > n_max:
         raise SampleMismatch("empty sample range")
@@ -201,20 +204,31 @@ def sample_hk(
         notes.append(f"dimension override {dim} used; computed value is {d}")
         d = dim
     p = ringspec.p
-    samples = []
+    rows = []
     for n in range(n_min, n_max + 1):
-        t0 = time.monotonic()
         try:
-            value = length_mod_frobenius(
-                module, ideal, n, max_basis=max_basis, max_seconds=max_seconds
-            )
+            row = []
+            for module in modules:
+                t0 = time.monotonic()
+                value = length_mod_frobenius(
+                    module, ideal, n, max_seconds=max_seconds
+                )
+                row.append(
+                    HKSample(n, p**n, value, seconds=time.monotonic() - t0)
+                )
         except ResourceLimit as exc:
             notes.append(f"sample n={n} skipped: {exc}")
             if n < n_max:
                 notes.append(f"series truncated at n={n} to keep n consecutive")
             break
-        samples.append(HKSample(n, p**n, value, seconds=time.monotonic() - t0))
-    return HKSeries(ringspec, ideal, module, d, tuple(samples), tuple(notes))
+        rows.append(row)
+    if not rows:
+        raise ResourceLimit("no samples completed within the time budget")
+    notes = tuple(notes)
+    return tuple(
+        HKSeries(ringspec, ideal, module, d, tuple(samples), notes)
+        for module, samples in zip(modules, zip(*rows))
+    )
 
 
 # -- exact fits and tail shapes ------------------------------------------------
@@ -271,13 +285,11 @@ def evaluate_fit(fit: PolynomialFit, q: int) -> Fraction:
 
 
 def detect_periodic_tail(
-    series: HKSeries,
-    leading: list[Fraction],
-    period_max: int = DEFAULT_PERIOD_MAX,
+    series: HKSeries, leading: list[Fraction]
 ) -> PeriodicTail | None:
     """Smallest eventual period of t_n = length_n - sum(leading_i q^{d-i}).
 
-    A period P is accepted when the residuals agree on every class n mod P
+    Periods 1..PERIOD_MAX are tried. A period P is accepted when the residuals agree on every class n mod P
     from some start onward, with each class observed at least twice past the
     start. Residues are reported indexed by n mod P.
     """
@@ -290,7 +302,7 @@ def detect_periodic_tail(
         for s in series.samples
     }
     ns = sorted(t)
-    for period in range(1, period_max + 1):
+    for period in range(1, PERIOD_MAX + 1):
         for start_idx in range(len(ns)):
             tail = ns[start_idx:]
             if len(tail) < 2 * period:
@@ -409,12 +421,12 @@ def _pin_by_beta_residuals(series: HKSeries, anchor: Fraction) -> Fraction | Non
 
 
 def _pin_by_periodicity(
-    series: HKSeries, anchor: Fraction, period_max: int
+    series: HKSeries, anchor: Fraction
 ) -> tuple[Fraction, PeriodicTail] | None:
     if len(series.samples) < 4:
         return None
     for cand in _convergents(anchor):
-        tail = detect_periodic_tail(series, [cand], period_max)
+        tail = detect_periodic_tail(series, [cand])
         if tail is not None:
             return cand, tail
     return None
@@ -424,7 +436,6 @@ def estimate_alpha(
     series: HKSeries,
     fit: PolynomialFit | None = None,
     geometric: GeometricTail | None = None,
-    period_max: int = DEFAULT_PERIOD_MAX,
 ) -> AlphaEstimate:
     """Raw and refined alpha sequences plus a single extrapolated value.
 
@@ -442,7 +453,7 @@ def estimate_alpha(
         return AlphaEstimate(tuple(raw), tuple(refined), fit.coefficients[0], "polynomial_fit")
     if geometric is not None:
         return AlphaEstimate(tuple(raw), tuple(refined), geometric.leading, "geometric_tail")
-    pinned = _pin_by_periodicity(series, anchor, period_max)
+    pinned = _pin_by_periodicity(series, anchor)
     if pinned is not None:
         return AlphaEstimate(tuple(raw), tuple(refined), pinned[0], "periodic_pin")
     by_beta = _pin_by_beta_residuals(series, anchor)
@@ -543,37 +554,31 @@ def additive_error(
     rs = ambient.ringspec
     sub = present_submodule(ambient, list(seq.generators))
     quot = quotient_presentation(ambient, list(seq.generators))
-    kw = dict(dim=dim, max_seconds=max_seconds)
-    ser_sub = sample_hk(rs, ideal, sub, n_min, n_max, **kw)
-    ser_amb = sample_hk(rs, ideal, ambient, n_min, n_max, **kw)
-    ser_quo = sample_hk(rs, ideal, quot, n_min, n_max, **kw)
-    count = min(len(ser_sub.samples), len(ser_amb.samples), len(ser_quo.samples))
-    if count == 0:
-        raise InsufficientSamples("no samples completed within the budget")
-    rows = []
-    for i in range(count):
-        a, b, c = ser_sub.samples[i], ser_amb.samples[i], ser_quo.samples[i]
-        rows.append(
-            AdditiveErrorRow(
-                b.n, b.q, a.length, b.length, c.length,
-                c.length - b.length + a.length,
-            )
-        )
-    d = dim if dim is not None else rs.dimension()
-    bound = bounded_by_power(
-        [r.error for r in rows], [r.q for r in rows], d - 1, [r.n for r in rows]
+    series = sample_hk(
+        rs, ideal, (sub, ambient, quot), n_min, n_max, dim, max_seconds
     )
-    return AdditiveErrorReport(tuple(rows), bound, (ser_sub, ser_amb, ser_quo))
+    rows = tuple(
+        AdditiveErrorRow(
+            b.n, b.q, a.length, b.length, c.length,
+            c.length - b.length + a.length,
+        )
+        for a, b, c in zip(*(ser.samples for ser in series))
+    )
+    bound = bounded_by_power(
+        [r.error for r in rows], [r.q for r in rows], series[1].d - 1,
+        [r.n for r in rows],
+    )
+    return AdditiveErrorReport(rows, bound, series)
 
 
 # -- the combined report -------------------------------------------------------
 
 
-def analyze_series(
-    series: HKSeries, period_max: int = DEFAULT_PERIOD_MAX
-) -> AsymptoticReport:
-    """Full single-module analysis: alpha, beta, fit, tail classification."""
-    warnings = list(series.notes)
+def analyze_series(series: HKSeries) -> AsymptoticReport:
+    """Full single-module analysis: alpha, beta, fit, tail classification.
+    Its warnings are the analysis's own; the series' notes stay on the
+    series."""
+    warnings = []
     d = series.d
     fit = None
     if len(series.samples) >= d + 1:
@@ -581,7 +586,7 @@ def analyze_series(
     geometric = None
     if fit is None or fit.status != "verified":
         geometric = fit_geometric_tail(series)
-    alpha = estimate_alpha(series, fit, geometric, period_max)
+    alpha = estimate_alpha(series, fit, geometric)
 
     beta = None
     if alpha.method == "refined_sequence":
@@ -597,7 +602,7 @@ def analyze_series(
     elif geometric is not None:
         classification = "geometric"
     else:
-        periodic = detect_periodic_tail(series, [alpha.extrapolated], period_max)
+        periodic = detect_periodic_tail(series, [alpha.extrapolated])
         classification = "periodic" if periodic is not None else "unclassified"
     return AsymptoticReport(
         alpha=alpha,
@@ -614,11 +619,10 @@ def analyze_module_vs_ring(
     series_m: HKSeries,
     series_r: HKSeries,
     r: int,
-    period_max: int = DEFAULT_PERIOD_MAX,
 ) -> AsymptoticReport:
     """Analysis of M extended with delta, tau, and the recursion check
     against the rank-r free comparison; flags alpha(M) vs r*alpha(R)."""
-    base = analyze_series(series_m, period_max)
+    base = analyze_series(series_m)
     warnings = list(base.warnings)
     deltas = delta_sequence(series_m, series_r, r)
     p, d = series_m.p, series_m.d

@@ -35,7 +35,6 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    DEFAULT_PERIOD_MAX,
     AsymptoticReport,
     BoundCheck,
     ExactSequenceSpec,
@@ -45,11 +44,7 @@ from .analysis import (
     analyze_series,
     sample_hk,
 )
-from .errors import (
-    HilbertKunzError,
-    ResourceLimit,
-    SemanticError,
-)
+from .errors import HilbertKunzError, SemanticError
 from .groebner import FreeElement
 # ORACLE_EXTRA_DEGREES is re-exported for callers that bound their own walk
 from .oracle import ORACLE_EXTRA_DEGREES, stable_length  # noqa: F401
@@ -192,37 +187,12 @@ def _build(pf: ProblemFile, order: str):
     return rs, ideal, module
 
 
-def _truncate(series: HKSeries, count: int) -> HKSeries:
-    if count >= len(series.samples):
-        return series
-    return HKSeries(
-        series.ringspec,
-        series.ideal,
-        series.module,
-        series.d,
-        series.samples[:count],
-        series.notes,
-    )
-
-
-def _require_samples(series: HKSeries) -> None:
-    if not series.samples:
-        raise ResourceLimit("no samples completed within the time budget")
-
-
-def run_problem(
-    subcommand: str,
-    pf: ProblemFile,
-    order: str = "grevlex",
-    n_max_seconds: float | None = None,
-    period_max: int = DEFAULT_PERIOD_MAX,
-) -> dict:
-    """Execute one subcommand and return the full report dict."""
-    t0 = time.monotonic()
-    report = {
+def _report(subcommand: str, problem: dict, order: str) -> dict:
+    """The six-key report skeleton, before anything has run."""
+    return {
         "input": {
             "subcommand": subcommand,
-            "problem": _problem_echo(pf),
+            "problem": problem,
             "order": order,
             "engine": f"hilbertkunz {__version__}",
         },
@@ -232,24 +202,33 @@ def run_problem(
         "warnings": [],
         "error": None,
     }
+
+
+def run_problem(
+    subcommand: str,
+    pf: ProblemFile,
+    order: str = "grevlex",
+    n_max_seconds: float | None = None,
+) -> dict:
+    """Execute one subcommand and return the full report dict."""
+    t0 = time.monotonic()
+    report = _report(subcommand, _problem_echo(pf), order)
     per_n: dict[str, float] = {}
     warnings: list[str] = []
     try:
         if subcommand in ("compute", "fit"):
             rs, ideal, module = _build(pf, order)
-            series = sample_hk(
-                rs, ideal, module, pf.n_min, pf.n_max,
+            (series,) = sample_hk(
+                rs, ideal, (module,), pf.n_min, pf.n_max,
                 dim=pf.dim, max_seconds=n_max_seconds,
             )
-            _require_samples(series)
             report["samples"] = _sample_rows(series)
             _merge_per_n(per_n, series)
+            warnings.extend(series.notes)
             if subcommand == "fit":
-                rep = analyze_series(series, period_max)
+                rep = analyze_series(series)
                 report["analysis"] = _analysis_dict(rep)
                 warnings.extend(rep.warnings)
-            else:
-                warnings.extend(series.notes)
         elif subcommand == "tau":
             if pf.module is None or pf.rank is None:
                 raise SemanticError(
@@ -257,29 +236,19 @@ def run_problem(
                     "(keys: module, rank)"
                 )
             rs, ideal, module = _build(pf, order)
-            series_m = sample_hk(
-                rs, ideal, module, pf.n_min, pf.n_max,
+            series_m, series_r = sample_hk(
+                rs, ideal, (module, free_module(rs, 1)), pf.n_min, pf.n_max,
                 dim=pf.dim, max_seconds=n_max_seconds,
             )
-            series_r = sample_hk(
-                rs, ideal, free_module(rs, 1), pf.n_min, pf.n_max,
-                dim=pf.dim, max_seconds=n_max_seconds,
-            )
-            count = min(len(series_m.samples), len(series_r.samples))
-            series_m = _truncate(series_m, count)
-            series_r = _truncate(series_r, count)
-            _require_samples(series_m)
             report["samples"] = _sample_rows(series_m)
             _merge_per_n(per_n, series_m)
             _merge_per_n(per_n, series_r)
-            rep = analyze_module_vs_ring(series_m, series_r, pf.rank, period_max)
+            warnings.extend(series_m.notes)
+            rep = analyze_module_vs_ring(series_m, series_r, pf.rank)
             analysis = _analysis_dict(rep)
             analysis["ring_lengths"] = [str(s.length) for s in series_r.samples]
             report["analysis"] = analysis
             warnings.extend(rep.warnings)
-            for note in series_r.notes:
-                if note not in warnings:
-                    warnings.append(note)
         elif subcommand == "additive-error":
             if pf.sequence is None:
                 raise SemanticError(
@@ -294,14 +263,10 @@ def run_problem(
                 seq, ideal, pf.n_min, pf.n_max,
                 dim=pf.dim, max_seconds=n_max_seconds,
             )
-            ser_sub, ser_amb, ser_quo = rep.series
-            count = len(rep.rows)
-            report["samples"] = _sample_rows(_truncate(ser_amb, count))
+            report["samples"] = _sample_rows(rep.series[1])
             for ser in rep.series:
-                _merge_per_n(per_n, _truncate(ser, count))
-                for note in ser.notes:
-                    if note not in warnings:
-                        warnings.append(note)
+                _merge_per_n(per_n, ser)
+            warnings.extend(rep.series[1].notes)
             report["analysis"] = {
                 "rows": [
                     {
@@ -390,20 +355,10 @@ def to_csv(report: dict) -> str:
 
 def _error_report(subcommand: str, path: str, order: str,
                   exc: Exception) -> dict:
+    report = _report(subcommand, {"path": path}, order)
     kind = type(exc).__name__ if isinstance(exc, HilbertKunzError) else "IOError"
-    return {
-        "input": {
-            "subcommand": subcommand,
-            "problem": {"path": path},
-            "order": order,
-            "engine": f"hilbertkunz {__version__}",
-        },
-        "samples": [],
-        "analysis": None,
-        "timing": {"per_n": {}, "total_seconds": 0.0},
-        "warnings": [],
-        "error": {"type": kind, "message": str(exc)},
-    }
+    report["error"] = {"type": kind, "message": str(exc)}
+    return report
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -429,8 +384,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--n-max-seconds", type=float, default=None, dest="n_max_seconds",
             metavar="SECONDS",
-            help="per-sample time budget; samples over budget are skipped "
-            "and the series is truncated with a warning",
+            help="per-sample time budget; the first sample over budget "
+            "ends the series with a warning (in tau and additive-error, "
+            "every series stops at that n)",
         )
         sp.add_argument(
             "--format", choices=("json", "csv"), default="json", dest="fmt",

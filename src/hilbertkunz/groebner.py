@@ -46,7 +46,7 @@ from .poly import (
     monomial_lcm,
 )
 
-DEFAULT_MAX_BASIS = 200_000
+MAX_BASIS = 200_000
 COUNT_NODE_LIMIT = 2_000_000
 
 
@@ -78,35 +78,6 @@ class FreeElement:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def _check(self, other: FreeElement):
-        if self.ring != other.ring:
-            raise RingMismatch("elements over different rings")
-        if self.rank != other.rank:
-            raise RankMismatch(f"ranks differ: {self.rank} vs {other.rank}")
-
-    def __add__(self, other: FreeElement) -> FreeElement:
-        self._check(other)
-        return FreeElement(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: FreeElement) -> FreeElement:
-        self._check(other)
-        return FreeElement(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> FreeElement:
-        return FreeElement(tuple(-a for a in self.components))
-
-    def scale(self, c: int) -> FreeElement:
-        return FreeElement(tuple(a.scale(c) for a in self.components))
-
-    def __mul__(self, other) -> FreeElement:
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, Polynomial):
-            return FreeElement(tuple(a * other for a in self.components))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -410,7 +381,6 @@ def _buchberger_engine(
     input_terms: list,
     keyed: _Keyed,
     p: int,
-    max_basis: int,
     deadline: float | None = None,
 ) -> _Reducer:
     width = _width(exps for terms in input_terms for _, _, exps, _ in terms)
@@ -421,7 +391,7 @@ def _buchberger_engine(
 
     def add_element(terms):
         """The Gebauer-Moller update (1988) for a new element h."""
-        if len(red.elements) >= max_basis:
+        if len(red.elements) >= MAX_BASIS:
             raise ResourceLimit(
                 "basis size cap exceeded", partial_basis_size=len(red.elements)
             )
@@ -532,7 +502,6 @@ def buchberger(
     generators,
     order: MonomialOrder | None = None,
     rank: int | None = None,
-    max_basis: int = DEFAULT_MAX_BASIS,
     deadline: float | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule the generators span.
@@ -550,7 +519,7 @@ def buchberger(
         return GroebnerBasis((), ring.order, rank, ring)
     keyed = _Keyed(ring, rank)
     inputs = [_element_terms(e, keyed) for e in nonzero]
-    red = _buchberger_engine(inputs, keyed, ring.p, max_basis, deadline)
+    red = _buchberger_engine(inputs, keyed, ring.p, deadline)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
     elements = tuple(_terms_to_element(t, keyed) for t in final)

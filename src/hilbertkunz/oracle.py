@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import HilbertKunzError, MatrixTooLarge
 from .poly import Exponents, Polynomial
 
-DEFAULT_CELL_CAP = 50_000_000
+CELL_CAP = 50_000_000
 MAX_COLUMNS = 50_000
 # stable_length raises the degree bound at most this many times
 ORACLE_EXTRA_DEGREES = 60
@@ -73,7 +73,7 @@ class MacaulaySystem:
     count: int
 
 
-def _columns(rels, multipliers, row_index, cell_cap: int) -> list[dict[int, int]]:
+def _columns(rels, multipliers, row_index) -> list[dict[int, int]]:
     """One {row: coefficient} column per relation and multiplier u: the
     multiple u * relation written in the rows of row_index.
 
@@ -84,7 +84,7 @@ def _columns(rels, multipliers, row_index, cell_cap: int) -> list[dict[int, int]
     """
     n_rows = len(row_index)
     n_cols = sum(len(mults) for mults in multipliers)
-    if n_cols > MAX_COLUMNS or n_rows * n_cols > cell_cap:
+    if n_cols > MAX_COLUMNS or n_rows * n_cols > CELL_CAP:
         raise MatrixTooLarge(
             f"{n_rows} x {n_cols} exceeds the configured oracle limits"
         )
@@ -150,9 +150,7 @@ def _rank(columns: list[dict[int, int]], p: int) -> int:
     return _rank_gfp(columns, p)
 
 
-def build_system(
-    relations, rank: int, p: int, degree_bound: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> MacaulaySystem:
+def build_system(relations, rank: int, p: int, degree_bound: int) -> MacaulaySystem:
     """Assemble and eliminate the degree-bounded system once."""
     rels, v = _nonzero_relations(relations, rank, p)
     # a generator of degree above the bound gets no multipliers at all
@@ -167,7 +165,7 @@ def build_system(
             row_index[(j, m)] = len(row_index)
     n_rows = len(row_index)
 
-    cols = _columns(rels, [mults[d] for d in degs], row_index, cell_cap)
+    cols = _columns(rels, [mults[d] for d in degs], row_index)
     rk = _rank(cols, p)
     return MacaulaySystem(degree_bound, n_rows, len(cols), rk, n_rows - rk)
 
@@ -197,9 +195,7 @@ def _pure_power_box(relations, rank: int):
     return box
 
 
-def exact_box_count(
-    relations, rank: int, p: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> int:
+def exact_box_count(relations, rank: int, p: int) -> int:
     """Exact colength when every (component, variable) pair has a pure-power
     relation x_i^b e_j.
 
@@ -223,13 +219,13 @@ def exact_box_count(
     maxb = [max(box[j][i] for j in range(rank)) for i in range(v)]
     mults = list(product(*[range(b) for b in maxb]))
 
-    cols = _columns(rels, [mults] * len(rels), row_index, cell_cap)
+    cols = _columns(rels, [mults] * len(rels), row_index)
     return len(row_index) - _rank(cols, p)
 
 
 def _certified(
     relations, rank: int, p: int, degree_bound: int, count: int,
-    prev_count: int | None, cell_cap: int,
+    prev_count: int | None,
 ) -> bool:
     """oracle_length's certificate for `count` at `degree_bound`, given the
     count at degree_bound - 1 (None below degree 0)."""
@@ -238,7 +234,7 @@ def _certified(
     box = _pure_power_box(relations, rank)
     if box is None or any(b > degree_bound for row in box for b in row):
         return False
-    return count == exact_box_count(relations, rank, p, cell_cap)
+    return count == exact_box_count(relations, rank, p)
 
 
 def oracle_length(
@@ -246,7 +242,6 @@ def oracle_length(
     rank: int,
     p: int,
     degree_bound: int,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[int, bool]:
     """Count monomials of degree <= bound outside the span of all generator
     multiples.
@@ -259,15 +254,11 @@ def oracle_length(
     lie (cancellation can resurface many degrees later), so the certificate
     is checked against the exact value, never inferred from the plateau.
     """
-    count = build_system(relations, rank, p, degree_bound, cell_cap).count
+    count = build_system(relations, rank, p, degree_bound).count
     prev_count = None
     if degree_bound >= 1:
-        prev_count = build_system(
-            relations, rank, p, degree_bound - 1, cell_cap
-        ).count
-    stable = _certified(
-        relations, rank, p, degree_bound, count, prev_count, cell_cap
-    )
+        prev_count = build_system(relations, rank, p, degree_bound - 1).count
+    stable = _certified(relations, rank, p, degree_bound, count, prev_count)
     return count, stable
 
 
@@ -287,7 +278,6 @@ def stable_length(
     relations,
     rank: int,
     p: int,
-    cell_cap: int = DEFAULT_CELL_CAP,
     deadline: float | None = None,
 ) -> StableLength:
     """Raise the degree bound from the largest generator degree (at least
@@ -312,12 +302,10 @@ def stable_length(
                     count, False, degree,
                     f"oracle stopped at degree {d}: time budget exceeded",
                 )
-            current = build_system(relations, rank, p, d, cell_cap).count
+            current = build_system(relations, rank, p, d).count
             if prev_count is None:
-                prev_count = build_system(
-                    relations, rank, p, d - 1, cell_cap
-                ).count
-            if _certified(relations, rank, p, d, current, prev_count, cell_cap):
+                prev_count = build_system(relations, rank, p, d - 1).count
+            if _certified(relations, rank, p, d, current, prev_count):
                 return StableLength(current, True, d, None)
             count = prev_count = current
             degree = d

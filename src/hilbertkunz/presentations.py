@@ -18,7 +18,6 @@ from .errors import (
     SemanticError,
 )
 from .groebner import (
-    DEFAULT_MAX_BASIS,
     FreeElement,
     GroebnerBasis,
     buchberger,
@@ -302,36 +301,20 @@ def frobenius_relations(
     return gens
 
 
-def presentation_basis(
-    module: ModulePresentation,
-    ideal: IdealSpec,
-    n: int,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    *,
-    deadline: float | None = None,
-) -> GroebnerBasis:
-    """Groebner basis of relations(M) + I^[p^n] acting on every generator.
-
-    The deadline (a time.monotonic() value) covers the Frobenius
-    generators and Buchberger."""
-    gens = frobenius_relations(module, ideal, n, deadline)
-    return buchberger(
-        gens, rank=module.rank, max_basis=max_basis, deadline=deadline
-    )
-
-
 def length_mod_frobenius(
     module: ModulePresentation,
     ideal: IdealSpec,
     n: int,
-    max_basis: int = DEFAULT_MAX_BASIS,
     max_seconds: float | None = None,
 ) -> int:
-    """Length of M / I^[p^n] M: the value of the length function at n.
+    """Length of M / I^[p^n] M: the value of the length function at n,
+    counted on the Groebner basis of relations(M) + I^[p^n] acting on every
+    generator.
 
     max_seconds bounds the Frobenius generators, Buchberger and the count
     together. The count raises NotZeroDimensional when the length is
     infinite."""
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    G = presentation_basis(module, ideal, n, max_basis, deadline=deadline)
+    gens = frobenius_relations(module, ideal, n, deadline)
+    G = buchberger(gens, rank=module.rank, deadline=deadline)
     return count_standard_monomials(G, deadline)

@@ -113,8 +113,9 @@ def test_delta_recursion_holds_for_declared_rank_modules(corpus_report):
     rs = hk.ring_spec("x y", 3)
     ideal = hk.maximal_ideal(rs)
     m = hk.free_module(rs, 2)
-    series_m = hk.sample_hk(rs, ideal, m, 1, 4)
-    series_r = hk.sample_hk(rs, ideal, hk.free_module(rs, 1), 1, 4)
+    series_m, series_r = hk.sample_hk(
+        rs, ideal, (m, hk.free_module(rs, 1)), 1, 4
+    )
     deltas = hk.delta_sequence(series_m, series_r, 2)
     assert deltas == [0, 0, 0, 0]
     rep = hk.check_delta_recursion(deltas, p=3, d=2)

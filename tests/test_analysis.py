@@ -33,7 +33,7 @@ from hilbertkunz import (
     geometric_accelerate,
     sample_hk,
 )
-from hilbertkunz.errors import InsufficientSamples, SampleMismatch
+from hilbertkunz.errors import InsufficientSamples, ResourceLimit, SampleMismatch
 
 F = Fraction
 
@@ -454,7 +454,7 @@ def test_analyze_module_vs_ring_flags_rank_mismatch():
 def test_sample_hk_lengths_match_engine():
     rs = hk.ring_spec("x y", 3)
     ideal = hk.maximal_ideal(rs)
-    ser = sample_hk(rs, ideal, hk.free_module(rs, 1), 1, 3)
+    (ser,) = sample_hk(rs, ideal, (hk.free_module(rs, 1),), 1, 3)
     assert ser.lengths() == [9, 81, 729]
     assert ser.qs() == [3, 9, 27]
     assert all(s.seconds is not None for s in ser.samples)
@@ -464,7 +464,6 @@ def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
     """A resource limit at n=2 drops n=2 and stops the sampling, so the
     series keeps consecutive n and n=3 is never computed."""
     import hilbertkunz.analysis as analysis
-    from hilbertkunz.errors import ResourceLimit
 
     calls = []
 
@@ -476,11 +475,50 @@ def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
 
     monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
     rs = hk.ring_spec("x y", 2)
-    ser = sample_hk(rs, hk.maximal_ideal(rs), hk.free_module(rs, 1), 1, 3)
+    (ser,) = sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
     assert ser.lengths() == [4]
     assert calls == [1, 2]
     assert any("n=2 skipped" in note for note in ser.notes)
     assert any("truncated at n=2" in note for note in ser.notes)
+
+
+def test_sample_hk_stops_every_series_at_the_first_limit(monkeypatch):
+    """The second module runs out at n=2: the first module's n=2 sample
+    is dropped too, nothing is sampled at n=3, and both series carry the
+    same notes."""
+    import hilbertkunz.analysis as analysis
+
+    rs = hk.ring_spec("x y", 2)
+    first, second = hk.free_module(rs, 1), hk.free_module(rs, 2)
+    calls = []
+
+    def fake_length(module, ideal, n, **kw):
+        calls.append((module.rank, n))
+        if module is second and n == 2:
+            raise ResourceLimit("time budget exceeded")
+        return module.rank * 4**n
+
+    monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
+    a, b = sample_hk(rs, hk.maximal_ideal(rs), (first, second), 1, 3)
+    assert a.lengths() == [4]
+    assert b.lengths() == [8]
+    assert calls == [(1, 1), (2, 1), (1, 2), (2, 2)]
+    assert a.notes == b.notes == (
+        "sample n=2 skipped: time budget exceeded",
+        "series truncated at n=2 to keep n consecutive",
+    )
+
+
+def test_sample_hk_raises_when_no_sample_completes(monkeypatch):
+    import hilbertkunz.analysis as analysis
+
+    def fake_length(module, ideal, n, **kw):
+        raise ResourceLimit("time budget exceeded")
+
+    monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
+    rs = hk.ring_spec("x y", 2)
+    with pytest.raises(ResourceLimit, match="no samples completed"):
+        sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
 
 
 def test_analyze_empty_series_raises():
@@ -493,7 +531,7 @@ def test_analyze_empty_series_raises():
 def test_sample_hk_rejects_empty_range():
     rs = hk.ring_spec("x", 2)
     with pytest.raises(SampleMismatch):
-        sample_hk(rs, hk.maximal_ideal(rs), hk.free_module(rs, 1), 3, 1)
+        sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 3, 1)
 
 
 # -- additive errors on split sequences ------------------------------------

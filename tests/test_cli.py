@@ -12,19 +12,14 @@ import pytest
 
 import hilbertkunz
 from hilbertkunz.cli import main, run_problem, to_csv, to_json
+from hilbertkunz.errors import ResourceLimit
 
 from conftest import CORPUS, load_problem
 
+# one (stem, subcommand) run per fixture <stem>.<subcommand>.json
 RUNS = [
-    ("regular", "fit"),
-    ("monsky_p2", "fit"),
-    ("monsky_p3", "fit"),
-    ("monsky_p7", "fit"),
-    ("monsky_p2_long", "fit"),
-    ("hanmonsky", "fit"),
-    ("determinantal", "fit"),
-    ("omega", "tau"),
-    ("additive_error", "additive-error"),
+    tuple(path.name.removesuffix(".json").split(".", 1))
+    for path in sorted(CORPUS.glob("*.*.json"))
 ]
 
 REPORT_KEYS = ["input", "samples", "analysis", "timing", "warnings", "error"]
@@ -97,6 +92,33 @@ def test_time_budget_truncates_or_errors():
     else:
         assert report["error"]["type"] == "ResourceLimit"
     assert list(report.keys()) == REPORT_KEYS
+
+
+@pytest.mark.parametrize("stem,subcommand", [
+    ("omega", "tau"),
+    ("additive_error", "additive-error"),
+])
+def test_one_limit_stops_every_series(stem, subcommand, monkeypatch):
+    """The second module sampled at n=2 runs out: every series stops
+    there, the report keeps n=1 only, and nothing is sampled at n=3."""
+    import hilbertkunz.analysis as analysis
+
+    engine = analysis.length_mod_frobenius
+    calls = []
+
+    def flaky_length(module, ideal, n, **kw):
+        calls.append(n)
+        if calls.count(2) == 2:
+            raise ResourceLimit("time budget exceeded")
+        return engine(module, ideal, n, **kw)
+
+    monkeypatch.setattr(analysis, "length_mod_frobenius", flaky_length)
+    report = run_problem(subcommand, load_problem(stem))
+    assert [s["n"] for s in report["samples"]] == [1]
+    assert [w for w in report["warnings"] if "sample n=2 skipped" in w] == [
+        "sample n=2 skipped: time budget exceeded"
+    ]
+    assert max(calls) == 2
 
 
 def test_quintic_fits_a_half_second_budget():

@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from hilbertkunz import groebner
+from hilbertkunz.analysis import sample_hk
 from hilbertkunz.errors import HilbertKunzError, NotZeroDimensional, ResourceLimit
 from hilbertkunz.groebner import (
     FreeElement,
@@ -26,8 +27,8 @@ from hilbertkunz.groebner import (
 from hilbertkunz.poly import monomial_divides, monomial_lcm, parse_polynomial, ring
 from hilbertkunz.presentations import (
     free_module,
+    frobenius_relations,
     maximal_ideal,
-    presentation_basis,
     ring_spec,
 )
 
@@ -424,12 +425,31 @@ def test_count_matches_brute_force(case):
 def test_count_node_cap(monkeypatch):
     """The count stops with ResourceLimit past COUNT_NODE_LIMIT nodes."""
     rs = ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
-    G = presentation_basis(free_module(rs, 1), maximal_ideal(rs), 4)
+    G = buchberger(
+        frobenius_relations(free_module(rs, 1), maximal_ideal(rs), 4), rank=1
+    )
     monkeypatch.setattr(groebner, "COUNT_NODE_LIMIT", 100)
     with pytest.raises(
         ResourceLimit, match="standard-monomial counting budget exceeded"
     ):
         count_standard_monomials(G)
+
+
+def test_basis_size_cap(monkeypatch):
+    """Buchberger stops with ResourceLimit once the basis would pass
+    MAX_BASIS elements, and sample_hk turns that into a truncation note.
+    The determinantal ring's basis has 15 elements at n=1, 33 at n=2."""
+    rs = ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
+    module, ideal = free_module(rs, 1), maximal_ideal(rs)
+    monkeypatch.setattr(groebner, "MAX_BASIS", 20)
+    with pytest.raises(ResourceLimit, match="basis size cap exceeded"):
+        buchberger(frobenius_relations(module, ideal, 2), rank=1)
+    (series,) = sample_hk(rs, ideal, (module,), 1, 3)
+    assert [s.n for s in series.samples] == [1]
+    assert series.notes == (
+        "sample n=2 skipped: basis size cap exceeded",
+        "series truncated at n=2 to keep n consecutive",
+    )
 
 
 def test_krull_dimension():

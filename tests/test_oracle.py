@@ -137,11 +137,12 @@ def test_wrong_characteristic_rejected():
         oracle_length(polys(S, "x^2", "y^2"), 1, 2, 4)
 
 
-def test_matrix_cap():
+def test_matrix_cap(monkeypatch):
     S = ring("x y z", 2)
     gens = polys(S, "x^2", "y^2", "z^2")
+    monkeypatch.setattr(oracle, "CELL_CAP", 10_000)
     with pytest.raises(MatrixTooLarge):
-        oracle_length(gens, 1, 2, 60, cell_cap=10_000)
+        oracle_length(gens, 1, 2, 60)
 
 
 def test_no_pure_powers_no_certificate():
@@ -172,10 +173,11 @@ def test_walk_matches_per_degree_certificate(gens, start):
     assert stable_length(gens, 1, 2) == (count, True, degree, None)
 
 
-def test_walk_keeps_last_count_when_a_cap_trips():
+def test_walk_keeps_last_count_when_a_cap_trips(monkeypatch):
     gens = unit_ideal()  # certified only at degree 13
     system = build_system(gens, 1, 2, 10)
-    walk = stable_length(gens, 1, 2, cell_cap=system.n_rows * system.n_cols)
+    monkeypatch.setattr(oracle, "CELL_CAP", system.n_rows * system.n_cols)
+    walk = stable_length(gens, 1, 2)
     assert walk[:3] == (system.count, False, 10)
     assert walk.stopped.startswith("oracle stopped at degree 11: ")
 
@@ -191,9 +193,10 @@ def test_walk_keeps_last_count_when_the_deadline_passes(monkeypatch):
     )
 
 
-def test_walk_reports_a_cap_at_the_first_degree():
+def test_walk_reports_a_cap_at_the_first_degree(monkeypatch):
     S = ring("x y z", 2)
-    walk = stable_length(polys(S, "x^2", "y^2", "z^2"), 1, 2, cell_cap=10)
+    monkeypatch.setattr(oracle, "CELL_CAP", 10)
+    walk = stable_length(polys(S, "x^2", "y^2", "z^2"), 1, 2)
     assert walk[:3] == (None, False, None)
     assert walk.stopped.startswith("oracle stopped at degree 2: ")
 
