@@ -11,7 +11,6 @@ when callers format output.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -181,14 +180,14 @@ class AsymptoticReport:
 def sample_hk(
     ringspec: RingSpec,
     ideal: IdealSpec,
-    modules: Sequence[ModulePresentation],
+    modules: tuple,
     n_min: int,
     n_max: int,
     dim: int | None = None,
     max_seconds: float | None = None,
 ) -> tuple[HKSeries, ...]:
-    """Sample the length functions of several modules for n_min..n_max,
-    one n after another, every module at each n.
+    """Sample the length functions of a tuple of ModulePresentations for
+    n_min..n_max, one n after another, every module at each n.
 
     Each sample is an independent computation. A resource limit (such as
     the per-sample time budget) stops every series together at the first n

@@ -94,13 +94,15 @@ def test_time_budget_truncates_or_errors():
     assert list(report.keys()) == REPORT_KEYS
 
 
-@pytest.mark.parametrize("stem,subcommand", [
-    ("omega", "tau"),
-    ("additive_error", "additive-error"),
+@pytest.mark.parametrize("stem,subcommand,error", [
+    ("omega", "tau", "InsufficientSamples"),
+    ("additive_error", "additive-error", None),
 ])
-def test_one_limit_stops_every_series(stem, subcommand, monkeypatch):
+def test_one_limit_stops_every_series(stem, subcommand, error, monkeypatch):
     """The second module sampled at n=2 runs out: every series stops
-    there, the report keeps n=1 only, and nothing is sampled at n=3."""
+    there, the report keeps n=1 only, and nothing is sampled at n=3.
+    One sample is too few for tau's analysis; the report still says why
+    sampling stopped."""
     import hilbertkunz.analysis as analysis
 
     engine = analysis.length_mod_frobenius
@@ -119,6 +121,7 @@ def test_one_limit_stops_every_series(stem, subcommand, monkeypatch):
         "sample n=2 skipped: time budget exceeded"
     ]
     assert max(calls) == 2
+    assert (report["error"] or {}).get("type") == error
 
 
 def test_quintic_fits_a_half_second_budget():
