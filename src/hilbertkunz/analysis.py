@@ -189,11 +189,11 @@ def sample_hk(
     """Sample the length functions of a tuple of ModulePresentations for
     n_min..n_max, one n after another, every module at each n.
 
-    Each sample is an independent computation. A resource limit (such as
-    the per-sample time budget) stops every series together at the first n
+    Each sample has its own budget. A resource limit (such as the
+    per-sample time budget) stops every series together at the first n
     where some module runs out, so the series keep equal, consecutive
-    n ranges and share one set of notes. ResourceLimit is raised when not
-    even n_min completes.
+    n ranges and share one set of notes. ResourceLimit, with the cause, is
+    raised when not even n_min completes.
     """
     if n_min > n_max:
         raise SampleMismatch("empty sample range")
@@ -216,13 +216,16 @@ def sample_hk(
                     HKSample(n, p**n, value, seconds=time.monotonic() - t0)
                 )
         except ResourceLimit as exc:
-            notes.append(f"sample n={n} skipped: {exc}")
+            skipped = f"sample n={n} skipped: {exc}"
+            if not rows:
+                raise ResourceLimit(
+                    f"no samples completed within the time budget; {skipped}"
+                ) from exc
+            notes.append(skipped)
             if n < n_max:
                 notes.append(f"series truncated at n={n} to keep n consecutive")
             break
         rows.append(row)
-    if not rows:
-        raise ResourceLimit("no samples completed within the time budget")
     notes = tuple(notes)
     return tuple(
         HKSeries(ringspec, ideal, module, d, tuple(samples), notes)
@@ -306,12 +309,9 @@ def detect_periodic_tail(
             tail = ns[start_idx:]
             if len(tail) < 2 * period:
                 break
-            ok = all(
-                t[n] == t[m]
-                for n in tail
-                for m in tail
-                if m > n and (m - n) % period == 0
-            )
+            # n is consecutive, so agreeing one period apart is agreeing
+            # on each class
+            ok = all(t[n] == t[n + period] for n in tail[: len(tail) - period])
             if ok:
                 residues: list[Fraction | None] = [None] * period
                 for n in tail:

@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .errors import (
     RankMismatch,
+    ResourceLimit,
     RingMismatch,
     SemanticError,
 )
@@ -103,6 +104,13 @@ class IdealSpec:
         for g in self.generators:
             if g.ring != self.ringspec.ring:
                 raise RingMismatch("generator from a different ring")
+
+    @cached_property
+    def _tower(self) -> list[list[Polynomial]]:
+        """The Frobenius tower levels computed so far over a ring with
+        relations: level k holds g_k for every generator, zeros kept.
+        frobenius_relations extends it; it lives as long as this object."""
+        return []
 
     def frobenius_power(self, q: int) -> "IdealSpec":
         """I^[q]: the q-th powers of the generators, q a power of p. Any
@@ -275,8 +283,10 @@ def frobenius_relations(
     tower g_0 = NF(f), g_{k+1} = NF(g_k^p), NF the normal form modulo the
     ring's basis; zeros are dropped. Frobenius is a ring map fixing F_p, so
     g_n differs from f^q by an element of I_R, and I_R*e_j is among the
-    relations: the module is the same. Past the deadline the tower stops
-    with ResourceLimit."""
+    relations: the module is the same. The levels are kept on the ideal,
+    so the samples n = 1, 2, ... of one ideal take one step each; a level
+    is kept only once every generator has it. Past the deadline the tower
+    raises ResourceLimit, whether or not level n is kept already."""
     if ideal.ringspec != module.ringspec:
         raise RingMismatch("ideal and module live over different rings")
     if n < 0:
@@ -287,14 +297,16 @@ def frobenius_relations(
     if rs.basis is None:
         frob = [frobenius_power_poly(f, S.p**n) for f in ideal.generators]
     else:
-        nf = normal_forms(rs.basis, deadline)
-        frob = []
-        for f in ideal.generators:
-            g = nf(f)
-            for _ in range(n):
-                g = nf(frobenius_power_poly(g, S.p))
-            if not g.is_zero():
-                frob.append(g)
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimit("time budget exceeded")
+        levels = ideal._tower
+        if len(levels) <= n:
+            nf = normal_forms(rs.basis, deadline)
+            if not levels:
+                levels.append([nf(f) for f in ideal.generators])
+            while len(levels) <= n:
+                levels.append([nf(frobenius_power_poly(g, S.p)) for g in levels[-1]])
+        frob = [g for g in levels[n] if not g.is_zero()]
     for j in range(module.rank):
         for f in frob:
             gens.append(unit_vector(S, module.rank, j, f))
@@ -311,9 +323,10 @@ def length_mod_frobenius(
     counted on the Groebner basis of relations(M) + I^[p^n] acting on every
     generator.
 
-    max_seconds bounds the Frobenius generators, Buchberger and the count
-    together. The count raises NotZeroDimensional when the length is
-    infinite."""
+    The Frobenius generators come from the tower kept on the ideal, so
+    after n-1 the sample n takes one tower step. max_seconds bounds the
+    missing tower steps, Buchberger and the count together. The count
+    raises NotZeroDimensional when the length is infinite."""
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     gens = frobenius_relations(module, ideal, n, deadline)
     G = buchberger(gens, rank=module.rank, deadline=deadline)

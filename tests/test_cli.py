@@ -94,6 +94,21 @@ def test_time_budget_truncates_or_errors():
     assert list(report.keys()) == REPORT_KEYS
 
 
+def test_a_first_sample_failure_reports_its_cause(monkeypatch):
+    """When not even n_min completes, the error keeps the limit that
+    stopped it, here a basis cap with no time budget at all."""
+    import hilbertkunz.groebner as groebner
+
+    monkeypatch.setattr(groebner, "MAX_BASIS", 10)
+    report = run_problem("compute", load_problem("determinantal"))
+    assert report["error"] == {
+        "type": "ResourceLimit",
+        "message": "no samples completed within the time budget; "
+        "sample n=1 skipped: basis size cap exceeded",
+    }
+    assert report["samples"] == [] and report["warnings"] == []
+
+
 @pytest.mark.parametrize("stem,subcommand,error", [
     ("omega", "tau", "InsufficientSamples"),
     ("additive_error", "additive-error", None),

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hilbertkunz.presentations as presentations
+from conftest import load_problem
+from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import (
     NotZeroDimensional,
     ResourceLimit,
@@ -220,6 +223,82 @@ def test_tower_honours_the_deadline():
     assert frobenius_relations(M, I, 2)
     with pytest.raises(ResourceLimit):
         frobenius_relations(M, I, 2, deadline=time.monotonic() - 1.0)
+
+
+# -- one tower per ideal --------------------------------------------------------
+
+
+@pytest.mark.parametrize("stem,subcommand,steps", [
+    ("monsky_p7", "fit", 8 * 2),  # n=1..8, ideal (x, y)
+    ("omega", "tau", 3 * 6),  # n=1..3, two modules over the ideal (u..z)
+])
+def test_tower_steps_once_per_level(stem, subcommand, steps, monkeypatch):
+    """A report takes one tower step per level and generator: the samples
+    n=1..N, and every module sampled over the same ideal, share the
+    levels. Rebuilding from g_0 for each sample and module would take
+    72 steps in both reports."""
+    calls = []
+    power = presentations.frobenius_power_poly
+
+    def counted(f, q):
+        calls.append(q)
+        return power(f, q)
+
+    monkeypatch.setattr(presentations, "frobenius_power_poly", counted)
+    report = run_problem(subcommand, load_problem(stem))
+    assert report["error"] is None
+    assert len(calls) == steps
+    assert set(calls) == {report["input"]["problem"]["p"]}
+
+
+def cold_relations(module, ideal, n):
+    """frobenius_relations on a fresh copy of the ideal, so no level is kept."""
+    fresh = ideal_spec(ideal.ringspec, ideal.generators)
+    return frobenius_relations(module, fresh, n)
+
+
+@pytest.mark.parametrize("rs,order", [
+    (ring_spec("x y", 2, ["x^5 + y^5"]), [3, 1, 6, 0, 2, 4, 5]),
+    (det_ring(), [2, 0, 3, 1]),
+])
+def test_kept_levels_match_a_fresh_tower(rs, order):
+    """Levels kept from earlier calls, asked for in any order, give the
+    same relations as a tower built from g_0, in every component."""
+    I = maximal_ideal(rs)
+    for module in (free_module(rs, 1), free_module(rs, 2)):
+        for n in order:
+            assert frobenius_relations(module, I, n) == cold_relations(module, I, n)
+    assert len(I._tower) == max(order) + 1
+
+
+def test_a_stopped_step_keeps_no_partial_level(monkeypatch):
+    """A call past its deadline raises before it steps, and a step stopped
+    partway through a level keeps nothing of it; the next call builds the
+    level whole and matches a fresh tower."""
+    rs = det_ring()
+    M, I = free_module(rs, 1), maximal_ideal(rs)
+    frobenius_relations(M, I, 1)
+    assert len(I._tower) == 2
+    with pytest.raises(ResourceLimit):
+        frobenius_relations(M, I, 3, deadline=time.monotonic() - 1.0)
+    assert len(I._tower) == 2
+
+    power = presentations.frobenius_power_poly
+    calls = []
+
+    def stopped_at_the_third(f, q):
+        calls.append(q)
+        if len(calls) == 3:
+            raise ResourceLimit("time budget exceeded")
+        return power(f, q)
+
+    monkeypatch.setattr(presentations, "frobenius_power_poly", stopped_at_the_third)
+    with pytest.raises(ResourceLimit):
+        frobenius_relations(M, I, 3)
+    assert len(I._tower) == 2
+    monkeypatch.setattr(presentations, "frobenius_power_poly", power)
+    assert frobenius_relations(M, I, 3) == cold_relations(M, I, 3)
+    assert len(I._tower) == 4
 
 
 # -- the Frobenius tower against the raw q-th powers ---------------------------
