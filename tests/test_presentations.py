@@ -225,7 +225,7 @@ def test_tower_honours_the_deadline():
         frobenius_relations(M, I, 2, deadline=time.monotonic() - 1.0)
 
 
-# -- one tower per ideal --------------------------------------------------------
+# -- one tower per ideal -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("stem,subcommand,steps", [
