@@ -89,13 +89,10 @@ class AlphaEstimate:
 
 
 @dataclass(frozen=True)
-class BetaEstimate:
-    sequence: tuple[Fraction, ...]
-    extrapolated: Fraction
+class SecondCoefficient:
+    """The q^{d-1} coefficient of a length function (beta for a ring, tau
+    for a module against it): its sequence and one accelerated limit."""
 
-
-@dataclass(frozen=True)
-class TauEstimate:
     sequence: tuple[Fraction, ...]
     extrapolated: Fraction
 
@@ -163,13 +160,13 @@ class AdditiveErrorReport:
 @dataclass(frozen=True)
 class AsymptoticReport:
     alpha: AlphaEstimate
-    beta: BetaEstimate | None
+    beta: SecondCoefficient | None
     polynomial_fit: PolynomialFit | None
     periodic_tail: PeriodicTail | None
     geometric_tail: GeometricTail | None
     tail_classification: str  # polynomial | geometric | periodic | unclassified
     delta_sequence: tuple[int, ...] | None = None
-    tau: TauEstimate | None = None
+    tau: SecondCoefficient | None = None
     delta_recursion: DeltaRecursionReport | None = None
     warnings: tuple[str, ...] = ()
 
@@ -253,6 +250,12 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return [a[r][m] for r in range(m)]
 
 
+def _expansion(coeffs, q: int, d: int) -> Fraction:
+    """sum(c_i q^{d-i}): coefficients listed from q^d down, at q."""
+    q = Fraction(q)
+    return sum((c * q ** (d - i) for i, c in enumerate(coeffs)), Fraction(0))
+
+
 def fit_polynomial(series: HKSeries) -> PolynomialFit | None:
     """Exact polynomial fit in q of degree d, or None.
 
@@ -273,17 +276,14 @@ def fit_polynomial(series: HKSeries) -> PolynomialFit | None:
     rhs = [Fraction(s.length) for s in samples[:m]]
     coeffs = _solve_exact(rows, rhs)
     spare = samples[m:]
-    for s in spare:
-        value = sum(c * Fraction(s.q) ** (d - i) for i, c in enumerate(coeffs))
-        if value != s.length:
-            return None
+    if any(_expansion(coeffs, s.q, d) != s.length for s in spare):
+        return None
     status = "verified" if spare else "unverified"
     return PolynomialFit(tuple(coeffs), status, len(spare))
 
 
 def evaluate_fit(fit: PolynomialFit, q: int) -> Fraction:
-    d = len(fit.coefficients) - 1
-    return sum(c * Fraction(q) ** (d - i) for i, c in enumerate(fit.coefficients))
+    return _expansion(fit.coefficients, q, len(fit.coefficients) - 1)
 
 
 def detect_periodic_tail(
@@ -298,11 +298,7 @@ def detect_periodic_tail(
     if len(series.samples) < 2:
         raise InsufficientSamples("periodic detection needs at least 2 samples")
     d = series.d
-    t = {
-        s.n: Fraction(s.length)
-        - sum(Fraction(c) * Fraction(s.q) ** (d - i) for i, c in enumerate(leading))
-        for s in series.samples
-    }
+    t = {s.n: s.length - _expansion(leading, s.q, d) for s in series.samples}
     ns = sorted(t)
     for period in range(1, PERIOD_MAX + 1):
         for start_idx in range(len(ns)):
@@ -354,10 +350,6 @@ def fit_geometric_tail(series: HKSeries) -> GeometricTail | None:
 # -- coefficient estimation ----------------------------------------------------
 
 
-def _qpow(q: int, e: int) -> Fraction:
-    return Fraction(q) ** e
-
-
 def geometric_accelerate(seq: list[Fraction], p: int) -> list[Fraction]:
     """One Richardson step for sequences with O(1/q) error: the p-weighted
     difference (p*a_{n+1} - a_n)/(p-1) cancels the leading error term."""
@@ -379,11 +371,6 @@ def _convergents(x: Fraction, den_cap: int = PIN_DENOMINATOR_CAP) -> list[Fracti
     return out
 
 
-def _raw_alpha(series: HKSeries) -> list[Fraction]:
-    d = series.d
-    return [Fraction(s.length) / _qpow(s.q, d) for s in series.samples]
-
-
 def _refined_alpha(series: HKSeries) -> list[Fraction]:
     """Pairwise combination cancelling the q^{d-1} term exactly:
     (phi_{n+1} - p^{d-1} phi_n) / ((p^d - p^{d-1}) q_n^d)."""
@@ -392,14 +379,14 @@ def _refined_alpha(series: HKSeries) -> list[Fraction]:
     denom = Fraction(p) ** d - pd1
     out = []
     for a, b in zip(series.samples, series.samples[1:]):
-        out.append((Fraction(b.length) - pd1 * a.length) / (denom * _qpow(a.q, d)))
+        out.append((b.length - pd1 * a.length) / (denom * a.q**d))
     return out
 
 
 def _beta_sequence(series: HKSeries, alpha: Fraction) -> list[Fraction]:
     d = series.d
     return [
-        (Fraction(s.length) - alpha * _qpow(s.q, d)) / _qpow(s.q, d - 1)
+        (s.length - _expansion([alpha], s.q, d)) / Fraction(s.q) ** (d - 1)
         for s in series.samples
     ]
 
@@ -431,6 +418,31 @@ def _pin_by_periodicity(
     return None
 
 
+def _alpha(
+    series: HKSeries,
+    fit: PolynomialFit | None,
+    geometric: GeometricTail | None,
+) -> tuple[AlphaEstimate, PeriodicTail | None]:
+    """The one rule for which exact structure fixes alpha, with the
+    periodic tail when a periodic pin fixed it (None otherwise)."""
+    if len(series.samples) < 2:
+        raise InsufficientSamples("alpha estimation needs at least 2 samples")
+    raw = tuple(Fraction(s.length, s.q**series.d) for s in series.samples)
+    refined = tuple(_refined_alpha(series))
+    anchor = refined[-1]
+    if fit is not None and fit.status == "verified":
+        return AlphaEstimate(raw, refined, fit.coefficients[0], "polynomial_fit"), None
+    if geometric is not None:
+        return AlphaEstimate(raw, refined, geometric.leading, "geometric_tail"), None
+    pinned = _pin_by_periodicity(series, anchor)
+    if pinned is not None:
+        return AlphaEstimate(raw, refined, pinned[0], "periodic_pin"), pinned[1]
+    by_beta = _pin_by_beta_residuals(series, anchor)
+    if by_beta is not None:
+        return AlphaEstimate(raw, refined, by_beta, "rational_pin"), None
+    return AlphaEstimate(raw, refined, anchor, "refined_sequence"), None
+
+
 def estimate_alpha(
     series: HKSeries,
     fit: PolynomialFit | None = None,
@@ -443,36 +455,27 @@ def estimate_alpha(
     coefficient, a rational pinned by exact residual periodicity, a rational
     pinned by the beta-residual test, and finally the last refined entry.
     """
-    if len(series.samples) < 2:
-        raise InsufficientSamples("alpha estimation needs at least 2 samples")
-    raw = _raw_alpha(series)
-    refined = _refined_alpha(series)
-    anchor = refined[-1]
-    if fit is not None and fit.status == "verified":
-        return AlphaEstimate(tuple(raw), tuple(refined), fit.coefficients[0], "polynomial_fit")
-    if geometric is not None:
-        return AlphaEstimate(tuple(raw), tuple(refined), geometric.leading, "geometric_tail")
-    pinned = _pin_by_periodicity(series, anchor)
-    if pinned is not None:
-        return AlphaEstimate(tuple(raw), tuple(refined), pinned[0], "periodic_pin")
-    by_beta = _pin_by_beta_residuals(series, anchor)
-    if by_beta is not None:
-        return AlphaEstimate(tuple(raw), tuple(refined), by_beta, "rational_pin")
-    return AlphaEstimate(tuple(raw), tuple(refined), anchor, "refined_sequence")
+    return _alpha(series, fit, geometric)[0]
 
 
-def estimate_beta(series: HKSeries, alpha: Fraction) -> BetaEstimate:
+def _second_coefficient(seq: list, p: int, too_short: str) -> SecondCoefficient:
+    """seq and one Richardson step's last value; too_short is the error
+    message when seq has fewer than 2 terms."""
+    if len(seq) < 2:
+        raise InsufficientSamples(too_short)
+    return SecondCoefficient(tuple(seq), geometric_accelerate(seq, p)[-1])
+
+
+def estimate_beta(series: HKSeries, alpha: Fraction) -> SecondCoefficient:
     """beta_n = (phi_n - alpha q^d)/q^{d-1} and its accelerated limit.
 
     alpha must be exact; an alpha off by epsilon shifts every beta_n by
     epsilon*q, which is why callers withhold beta when alpha is only known
     to O(1/q).
     """
-    if len(series.samples) < 2:
-        raise InsufficientSamples("beta estimation needs at least 2 samples")
-    seq = _beta_sequence(series, alpha)
-    accel = geometric_accelerate(seq, series.p)
-    return BetaEstimate(tuple(seq), accel[-1])
+    return _second_coefficient(
+        _beta_sequence(series, alpha), series.p, "beta estimation needs at least 2 samples"
+    )
 
 
 def delta_sequence(series_m: HKSeries, series_r: HKSeries, r: int) -> list[int]:
@@ -499,7 +502,7 @@ def bounded_by_power(
         raise SampleMismatch("values and q lists must align and be nonempty")
     if ns is None:
         ns = list(range(1, len(values) + 1))
-    ratios = [abs(Fraction(v)) / _qpow(q, exponent) for v, q in zip(values, qs)]
+    ratios = [abs(Fraction(v)) / Fraction(q) ** exponent for v, q in zip(values, qs)]
     half = (len(ratios) + 1) // 2
     constant = max(ratios[:half])
     offending = tuple(
@@ -523,17 +526,13 @@ def check_delta_recursion(
     return DeltaRecursionReport(tuple(residuals), bound)
 
 
-def estimate_tau(deltas, p: int, d: int, n_start: int = 1) -> TauEstimate:
+def estimate_tau(deltas, p: int, d: int, n_start: int = 1) -> SecondCoefficient:
     """tau_n = delta_n / q^{d-1} and its accelerated limit."""
-    deltas = list(deltas)
-    if len(deltas) < 2:
-        raise InsufficientSamples("tau estimation needs at least 2 deltas")
     seq = [
-        Fraction(dl) / _qpow(p ** (n_start + i), d - 1)
+        Fraction(dl) / Fraction(p ** (n_start + i)) ** (d - 1)
         for i, dl in enumerate(deltas)
     ]
-    accel = geometric_accelerate(seq, p)
-    return TauEstimate(tuple(seq), accel[-1])
+    return _second_coefficient(seq, p, "tau estimation needs at least 2 deltas")
 
 
 def additive_error(
@@ -585,7 +584,7 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
     geometric = None
     if fit is None or fit.status != "verified":
         geometric = fit_geometric_tail(series)
-    alpha = estimate_alpha(series, fit, geometric)
+    alpha, periodic = _alpha(series, fit, geometric)
 
     beta = None
     if alpha.method == "refined_sequence":
@@ -595,14 +594,11 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
     else:
         beta = estimate_beta(series, alpha.extrapolated)
 
-    periodic = None
-    if fit is not None and fit.status == "verified":
-        classification = "polynomial"
-    elif geometric is not None:
-        classification = "geometric"
-    else:
+    if alpha.method in ("rational_pin", "refined_sequence"):
         periodic = detect_periodic_tail(series, [alpha.extrapolated])
-        classification = "periodic" if periodic is not None else "unclassified"
+    classification = {
+        "polynomial_fit": "polynomial", "geometric_tail": "geometric"
+    }.get(alpha.method, "unclassified" if periodic is None else "periodic")
     return AsymptoticReport(
         alpha=alpha,
         beta=beta,

@@ -39,6 +39,7 @@ from .analysis import (
     BoundCheck,
     ExactSequenceSpec,
     HKSeries,
+    SecondCoefficient,
     additive_error,
     analyze_module_vs_ring,
     analyze_series,
@@ -114,6 +115,12 @@ def _bound_dict(bound: BoundCheck) -> dict:
     }
 
 
+def _second_dict(c: SecondCoefficient | None) -> dict | None:
+    if c is None:
+        return None
+    return {"sequence": _frac_list(c.sequence), "extrapolated": _frac(c.extrapolated)}
+
+
 def _analysis_dict(rep: AsymptoticReport) -> dict:
     out = {
         "alpha": {
@@ -122,17 +129,12 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
             "extrapolated": _frac(rep.alpha.extrapolated),
             "method": rep.alpha.method,
         },
-        "beta": None,
+        "beta": _second_dict(rep.beta),
         "polynomial_fit": None,
         "periodic_tail": None,
         "geometric_tail": None,
         "tail_classification": rep.tail_classification,
     }
-    if rep.beta is not None:
-        out["beta"] = {
-            "sequence": _frac_list(rep.beta.sequence),
-            "extrapolated": _frac(rep.beta.extrapolated),
-        }
     if rep.polynomial_fit is not None:
         out["polynomial_fit"] = {
             "coefficients": _frac_list(rep.polynomial_fit.coefficients),
@@ -153,10 +155,7 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
         }
     if rep.delta_sequence is not None:
         out["delta"] = [str(x) for x in rep.delta_sequence]
-        out["tau"] = {
-            "sequence": _frac_list(rep.tau.sequence),
-            "extrapolated": _frac(rep.tau.extrapolated),
-        }
+        out["tau"] = _second_dict(rep.tau)
         out["delta_recursion"] = {
             "residuals": [str(x) for x in rep.delta_recursion.residuals],
             "bound": _bound_dict(rep.delta_recursion.bound),

@@ -102,7 +102,6 @@ def unit_vector(ring: PolyRing, rank: int, j: int, poly: Polynomial | None = Non
 @dataclass(frozen=True)
 class GroebnerBasis:
     elements: tuple[FreeElement, ...]
-    order: MonomialOrder
     rank: int
     ring: PolyRing
 
@@ -516,14 +515,14 @@ def buchberger(
         raise OrderMismatch("order differs from the ring order")
     nonzero = [e for e in elems if not e.is_zero()]
     if not nonzero:
-        return GroebnerBasis((), ring.order, rank, ring)
+        return GroebnerBasis((), rank, ring)
     keyed = _Keyed(ring, rank)
     inputs = [_element_terms(e, keyed) for e in nonzero]
     red = _buchberger_engine(inputs, keyed, ring.p, deadline)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
     elements = tuple(_terms_to_element(t, keyed) for t in final)
-    return GroebnerBasis(elements, ring.order, rank, ring)
+    return GroebnerBasis(elements, rank, ring)
 
 
 def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
@@ -539,8 +538,6 @@ def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer
 def normal_forms(G: GroebnerBasis, deadline: float | None = None):
     """The remainder map f -> NF(f) modulo G, with G loaded once for all its
     calls. Past the deadline a reduction stops with ResourceLimit."""
-    if G.order != G.ring.order:
-        raise OrderMismatch("basis order does not match the ring order")
     red = _loaded_reducer(G, deadline)
 
     def nf(f: FreeElement | Polynomial):

@@ -52,7 +52,6 @@ class RingSpec:
 
     ring: PolyRing
     defining_ideal: tuple[Polynomial, ...] = ()
-    declared_dim: int | None = None
 
     def __post_init__(self):
         for g in self.defining_ideal:
@@ -63,9 +62,6 @@ class RingSpec:
     def p(self) -> int:
         return self.ring.p
 
-    def maximal_ideal(self) -> tuple[Polynomial, ...]:
-        return tuple(self.ring.variable(i) for i in range(self.ring.nvars))
-
     @cached_property
     def basis(self) -> GroebnerBasis | None:
         """Reduced Groebner basis of the defining ideal, computed once;
@@ -75,13 +71,8 @@ class RingSpec:
         return buchberger(list(self.defining_ideal), rank=1)
 
     def dimension(self) -> int:
-        """Krull dimension of R; validates declared_dim on first use."""
-        d = self.ring.nvars if self.basis is None else krull_dimension(self.basis)
-        if self.declared_dim is not None and self.declared_dim != d:
-            raise SemanticError(
-                f"declared dimension {self.declared_dim} but computed {d}"
-            )
-        return d
+        """Krull dimension of R."""
+        return self.ring.nvars if self.basis is None else krull_dimension(self.basis)
 
 
 def ring_spec(variables: str, p: int, ideal=(), order: str = "grevlex") -> RingSpec:
@@ -127,7 +118,8 @@ def ideal_spec(rs: RingSpec, generators) -> IdealSpec:
 
 
 def maximal_ideal(rs: RingSpec) -> IdealSpec:
-    return IdealSpec(rs, rs.maximal_ideal())
+    S = rs.ring
+    return IdealSpec(rs, tuple(S.variable(i) for i in range(S.nvars)))
 
 
 @dataclass(frozen=True)

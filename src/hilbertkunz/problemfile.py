@@ -165,24 +165,19 @@ def parse_problem(text: str) -> ProblemFile:
     module = rows("module") if "module" in entries else None
     sequence = rows("sequence") if "sequence" in entries else None
 
-    module_rank = None
-    if "module_rank" in entries:
-        raw, line, col = entries["module_rank"]
-        module_rank = _int_value(raw, line, col, "module_rank")
-        if module_rank < 1:
-            raise ParseError("module_rank must be positive", line, col)
-    rank = None
-    if "rank" in entries:
-        raw, line, col = entries["rank"]
-        rank = _int_value(raw, line, col, "rank")
-        if rank < 0:
-            raise ParseError("rank must be nonnegative", line, col)
-    dim = None
-    if "dim" in entries:
-        raw, line, col = entries["dim"]
-        dim = _int_value(raw, line, col, "dim")
-        if dim < 0:
-            raise ParseError("dim must be nonnegative", line, col)
+    # the optional integer keys, each with its least allowed value
+    counts: dict[str, int | None] = {}
+    for key, least, word in (
+        ("module_rank", 1, "positive"),
+        ("rank", 0, "nonnegative"),
+        ("dim", 0, "nonnegative"),
+    ):
+        counts[key] = None
+        if key in entries:
+            raw, line, col = entries[key]
+            counts[key] = _int_value(raw, line, col, key)
+            if counts[key] < least:
+                raise ParseError(f"{key} must be {word}", line, col)
 
     raw, line, col = entries["n"]
     m = re.match(r"(\d+)\s*\.\.\s*(\d+)\Z", raw)
@@ -192,7 +187,7 @@ def parse_problem(text: str) -> ProblemFile:
     if n_min > n_max:
         raise ParseError("n range is empty", line, col)
 
-    expected_width = module_rank or 1
+    expected_width = counts["module_rank"] or 1
     if module is not None:
         for row in module:
             if len(row) != expected_width:
@@ -217,9 +212,7 @@ def parse_problem(text: str) -> ProblemFile:
         ring_relations=ring_relations,
         ideal=ideal,
         module=module,
-        module_rank=module_rank,
-        rank=rank,
-        dim=dim,
+        **counts,
         n_min=n_min,
         n_max=n_max,
         sequence=sequence,

@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbertkunz as hk
+import hilbertkunz.analysis as analysis
+from conftest import load_problem
 from hilbertkunz import (
+    AsymptoticReport,
     GeometricTail,
     HKSample,
     HKSeries,
@@ -33,6 +36,7 @@ from hilbertkunz import (
     geometric_accelerate,
     sample_hk,
 )
+from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import InsufficientSamples, ResourceLimit, SampleMismatch
 
 F = Fraction
@@ -446,6 +450,84 @@ def test_analyze_module_vs_ring_flags_rank_mismatch():
     doubled = make_series([2 * v for v in lengths], p=2, d=1)
     rep = analyze_module_vs_ring(doubled, r, 1)
     assert any("generic rank" in w for w in rep.warnings)
+
+
+def test_fit_reuses_the_pinned_periodic_tail(monkeypatch):
+    """The periodic pin's tail is the report's tail: a fit of the quintic
+    at p = 7 searches for it once, not a second time for the report."""
+    calls = []
+    detect = analysis.detect_periodic_tail
+
+    def counting(*args):
+        calls.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(analysis, "detect_periodic_tail", counting)
+    report = run_problem("fit", load_problem("monsky_p7"))
+    assert report["analysis"]["tail_classification"] == "periodic"
+    assert len(calls) == 1
+
+
+def ladder_reference(series: HKSeries) -> AsymptoticReport:
+    """analyze_series assembled from the public pieces, deciding the tail
+    class from the fit and the geometric tail and searching the periodic
+    tail afresh, as the report did before the ladder was shared."""
+    fit = None
+    if len(series.samples) >= series.d + 1:
+        fit = fit_polynomial(series)
+    geometric = None
+    if fit is None or fit.status != "verified":
+        geometric = fit_geometric_tail(series)
+    alpha = estimate_alpha(series, fit, geometric)
+    beta, warnings = None, ()
+    if alpha.method == "refined_sequence":
+        warnings = ("beta withheld: alpha could not be pinned exactly from the samples",)
+    else:
+        beta = estimate_beta(series, alpha.extrapolated)
+    periodic = None
+    if fit is not None and fit.status == "verified":
+        classification = "polynomial"
+    elif geometric is not None:
+        classification = "geometric"
+    else:
+        periodic = detect_periodic_tail(series, [alpha.extrapolated])
+        classification = "periodic" if periodic is not None else "unclassified"
+    return AsymptoticReport(
+        alpha, beta, fit, periodic, geometric, classification, warnings=warnings
+    )
+
+
+@st.composite
+def ladder_series(draw):
+    """Series that reach every rung of the ladder: polynomial in q (with
+    and without spare samples), quintic-like e*q^d plus a periodic
+    residue, a*q^d + c*r^n, each optionally bumped on one sample."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    n_start = draw(st.integers(0, 2))
+    count = draw(st.integers(2, 8))
+    ns = range(n_start, n_start + count)
+    shape = draw(st.sampled_from(["polynomial", "periodic", "geometric"]))
+    if shape == "polynomial":
+        coeffs = draw(st.lists(st.integers(-6, 12), min_size=d + 1, max_size=d + 1))
+        lengths = [sum(c * p ** (n * (d - i)) for i, c in enumerate(coeffs)) for n in ns]
+    elif shape == "periodic":
+        e = draw(st.integers(1, 8))
+        residues = draw(st.lists(st.integers(-9, 3), min_size=1, max_size=3))
+        lengths = [e * p ** (n * d) + residues[n % len(residues)] for n in ns]
+    else:
+        a, c = draw(st.integers(1, 8)), draw(st.integers(-9, 9))
+        r = draw(st.integers(1, p**d))
+        lengths = [a * p ** (n * d) + c * r**n for n in ns]
+    if draw(st.booleans()):
+        lengths[draw(st.integers(0, count - 1))] += draw(st.integers(-3, 3))
+    return make_series(lengths, p=p, d=d, n_start=n_start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_series())
+def test_analyze_series_equals_the_assembled_pieces(ser):
+    assert analyze_series(ser) == ladder_reference(ser)
 
 
 # -- sampling --------------------------------------------------------------

@@ -79,9 +79,6 @@ def test_diagonal_quartic_lengths():
 def test_hypersurface_dimension_check():
     rs = ring_spec("x y", 2, ["x^5 + y^5"])
     assert rs.dimension() == 1
-    bad = RingSpec(ring("x y", 2), (), declared_dim=0)
-    with pytest.raises(SemanticError):
-        bad.dimension()
 
 
 def test_cyclic_module():
