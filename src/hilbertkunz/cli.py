@@ -115,7 +115,7 @@ def _bound_dict(bound: BoundCheck) -> dict:
     }
 
 
-def _second_dict(c: SecondCoefficient | None) -> dict | None:
+def _second_coefficient_dict(c: SecondCoefficient | None) -> dict | None:
     if c is None:
         return None
     return {"sequence": _frac_list(c.sequence), "extrapolated": _frac(c.extrapolated)}
@@ -129,7 +129,7 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
             "extrapolated": _frac(rep.alpha.extrapolated),
             "method": rep.alpha.method,
         },
-        "beta": _second_dict(rep.beta),
+        "beta": _second_coefficient_dict(rep.beta),
         "polynomial_fit": None,
         "periodic_tail": None,
         "geometric_tail": None,
@@ -155,7 +155,7 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
         }
     if rep.delta_sequence is not None:
         out["delta"] = [str(x) for x in rep.delta_sequence]
-        out["tau"] = _second_dict(rep.tau)
+        out["tau"] = _second_coefficient_dict(rep.tau)
         out["delta_recursion"] = {
             "residuals": [str(x) for x in rep.delta_recursion.residuals],
             "bound": _bound_dict(rep.delta_recursion.bound),
