@@ -594,7 +594,9 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
     else:
         beta = estimate_beta(series, alpha.extrapolated)
 
-    if alpha.method in ("rational_pin", "refined_sequence"):
+    # two samples cannot show a period: with d = 1 the refined anchor makes
+    # their residuals equal by construction
+    if alpha.method in ("rational_pin", "refined_sequence") and len(series.samples) > 2:
         periodic = detect_periodic_tail(series, [alpha.extrapolated])
     classification = {
         "polynomial_fit": "polynomial", "geometric_tail": "geometric"

@@ -17,6 +17,14 @@ exponent; a lead that outgrows it makes the engine re-pack at a wider w.
 A basis loaded for normal forms takes the width of its leads, and a
 reduced term with a wider field is clamped. The tuple helpers in poly.py
 stay the reference.
+
+The pair update (_PairUpdate) goes one step further and works on whole
+components: each component's leads, and the lcms of its queued pairs,
+sit in the slots of one int (_Slots), so one subtraction tests a new lead
+against all of them. A slot is 64k bits: a flag bit at the bottom, the
+packed monomial just below the top bit, and the top bit free. A slot
+that holds nothing live has its top bit set in a second int, the dead
+bits, which keep it out of every answer.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from math import prod
 from operator import add, lshift, sub
@@ -172,9 +180,15 @@ class _Packing:
     - lcm(a, b) is a field-wise max, selected by the same guard bits;
       a and b are coprime exactly when lcm(a, b) == a + b.
     A packed a that divides b is at most b, so sorting packed ints puts
-    every divisor before its multiples."""
+    every divisor before its multiples.
 
-    __slots__ = ("w", "cap", "shifts", "caps", "guards")
+    The pair update keeps packed monomials in slots of `slot` bits, the
+    least multiple of 64 with room for a flag bit at the bottom and a free
+    top bit. The fields sit just below the top bit, from bit `at` up, so
+    the top 64-bit word of a slot holds the most significant fields;
+    `slot_guards` is `guards` moved up to `at`."""
+
+    __slots__ = ("w", "cap", "shifts", "caps", "guards", "slot", "at", "slot_guards")
 
     def __init__(self, nvars: int, w: int):
         step = w + 1
@@ -183,6 +197,9 @@ class _Packing:
         self.shifts = tuple(range(0, nvars * step, step))
         self.caps = (self.cap,) * nvars
         self.guards = sum(map(lshift, (1 << w,) * nvars, self.shifts))
+        self.slot = ((nvars * step + 1) // 64 + 1) * 64
+        self.at = self.slot - 1 - nvars * step
+        self.slot_guards = self.guards << self.at
 
     def fits(self, exps: Exponents) -> bool:
         return not exps or max(exps) <= self.cap
@@ -209,10 +226,6 @@ _packing = cache(_Packing)
 def _width(vectors) -> int:
     """Field width for the largest exponent among the vectors."""
     return max(chain.from_iterable(vectors), default=0).bit_length() or 1
-
-
-def _divides(a: int, b: int, guards: int) -> bool:
-    return ((b | guards) - a) & guards == guards
 
 
 def _lcm(a: int, b: int, guards: int, w: int) -> int:
@@ -376,6 +389,210 @@ class _Reducer:
         return work, heap
 
 
+def _join(values, slot: int) -> int:
+    """One int holding values[s] in slot s."""
+    size = slot // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _least_slot(x: int, cap: int, slot: int, owners: list) -> tuple[int, int]:
+    """The least (value, owner) over the cap slots of x: the least top
+    64-bit word picks the slot, and a tie on it is broken on the whole
+    slot and then on the owner."""
+    size = slot // 8
+    buf = x.to_bytes(cap * size, "little")
+    # cast reads native words: this takes a little-endian host, as x86-64
+    # and AArch64 are
+    tops = memoryview(buf).cast("Q")[slot // 64 - 1 :: slot // 64].tolist()
+    top = min(tops)
+    i = tops.index(top)
+    least = int.from_bytes(buf[i * size : (i + 1) * size], "little"), owners[i]
+    for _ in range(tops.count(top) - 1):
+        i = tops.index(top, i + 1)
+        least = min(least, (int.from_bytes(buf[i * size : (i + 1) * size], "little"), owners[i]))
+    return least
+
+
+@lru_cache(maxsize=64)
+def _masks(packing: _Packing, cap: int) -> tuple[int, int, int, int]:
+    """R, GG, TOP and C over cap slots; the engine runs of one sample
+    series share them."""
+    S = packing.slot
+    R = ((1 << cap * S) - 1) // ((1 << S) - 1)
+    TOP = R << (S - 1)
+    return R, packing.slot_guards * R, TOP, TOP - R
+
+
+class _Slots:
+    """One component's leads, or its queued pairs' lcms, in the slots of
+    the int `bits`: slot s is bits s*S to (s+1)*S, S = packing.slot, and
+    holds its entry moved up to bit packing.at; `owners` says whose it
+    is. `dead` has the top bit of each slot with no live entry (a dead
+    slot may keep a stale one). A new entry takes the lowest dead slot;
+    there are 4 at first, and a quarter and 4 more whenever none is dead.
+
+    The masks R, GG, TOP and C repeat one slot's lowest bit, guard bits,
+    top bit and 2^(S-1) - 1 over every slot, so one big-int operation
+    works on all slots. If x has every top bit clear, a slot of x is
+    nonzero where (x + C) & TOP has its top bit, and zero where
+    (TOP - x) & TOP has it."""
+
+    __slots__ = (
+        "packing", "cap", "live", "bits", "dead", "entries", "owners", "free",
+        "masks",
+    )
+
+    def __init__(self, packing: _Packing):
+        self.packing = packing
+        self.cap = 4
+        self.live = self.bits = 0
+        self.masks = _masks(packing, 4)
+        self.dead = self.masks[2]
+        self.entries: list[int] = [0] * 4  # each slot's entry, stale when dead
+        self.owners: list = [None] * 4  # each slot's element or pair, None when dead
+        self.free: list[int] = [0, 1, 2, 3]  # heap of the dead slots
+
+    def put(self, entry: int, owner) -> int:
+        if not self.free:
+            start = self.cap
+            self.cap += start // 4 + 4
+            self.entries += [0] * (self.cap - start)
+            self.owners += [None] * (self.cap - start)
+            self.free = list(range(start, self.cap))
+            self.masks = _masks(self.packing, self.cap)
+            self.dead |= self.masks[2] >> (start * self.packing.slot) << (start * self.packing.slot)
+        s = heapq.heappop(self.free)
+        S = self.packing.slot
+        self.bits ^= (self.entries[s] ^ entry) << (s * S)
+        self.dead ^= 1 << (s * S + S - 1)
+        self.entries[s] = entry
+        self.owners[s] = owner
+        self.live += 1
+        return s
+
+    def drop(self, s: int):
+        self.dead |= 1 << ((s + 1) * self.packing.slot - 1)
+        self.owners[s] = None
+        heapq.heappush(self.free, s)
+        self.live -= 1
+
+    def repack(self, packing: _Packing, entries: list[int]):
+        """Move to a new packing, with the new entry of every slot."""
+        self.packing = packing
+        self.entries = entries
+        self.bits = _join(entries, packing.slot)
+        top = 1 << (packing.slot - 1)
+        self.dead = _join([top if o is None else 0 for o in self.owners], packing.slot)
+        self.masks = _masks(packing, self.cap)
+
+
+class _PairUpdate:
+    """The Gebauer-Moller pair update (1988), on _Slots per component.
+
+    With ph = lt_h in every slot and X = (leads | GG) - ph, the guards
+    m = X & GG are set where a lead's field is at least ph's: h kills the
+    leads where m == GG, and Q = X & (m - (m >> w)) is lcm - ph, which
+    divides and orders like the lcm. A pair is coprime where Q equals the
+    lead. With a not-coprime flag below Q, criteria M and F keep the
+    least (Q, flag, g) in rounds, each marking every slot its Q divides
+    dead. Criterion B tests lt_h against every queued lcm at once, then
+    checks the two lcms of each hit."""
+
+    def __init__(self, red: _Reducer):
+        self.red = red
+        self.ideal = red.keyed.rank == 1
+        self.packing = red.packing
+        # each component's slots, made on its first lead
+        self.leads: list = [None] * red.keyed.rank
+        self.pairs: list = [None] * red.keyed.rank
+        self.queued: dict[tuple[int, int], int] = {}  # slot of each queued pair
+
+    def take(self, g: int, h: int) -> bool:
+        """Dequeue the pair (g, h); False when criterion B dropped it."""
+        s = self.queued.pop((g, h), None)
+        if s is None:
+            return False
+        self.pairs[self.red.lead[h][0]].drop(s)
+        return True
+
+    def _repack(self):
+        """h outgrew the fields: every lead and queued lcm moves to the
+        new width, in the same slots."""
+        red = self.red
+        packing = self.packing = red.packing
+        lead, packed = red.lead, red.packed
+        for leads in filter(None, self.leads):
+            leads.repack(packing, [
+                0 if g is None else packed[g] << packing.at for g in leads.owners
+            ])
+        for pairs in filter(None, self.pairs):
+            pairs.repack(packing, [
+                0 if pair is None
+                else packing.pack(monomial_lcm(lead[pair[0]][1], lead[pair[1]][1])) << packing.at
+                for pair in pairs.owners
+            ])
+
+    def add(self, h: int) -> list[int]:
+        """Drop the queued pairs criterion B rules out, kill the live
+        elements whose lead lt_h divides, and queue the new pairs (g, h)
+        criteria M and F keep; returns their g."""
+        red = self.red
+        if red.packing is not self.packing:
+            self._repack()
+        S, at, w, G = self.packing.slot, self.packing.at, self.packing.w, self.packing.guards
+        comp = red.lead[h][0]
+        packed = red.packed
+        ph = packed[h]
+        at_h = ph << at
+        if self.leads[comp] is None:
+            self.leads[comp] = _Slots(self.packing)
+            self.pairs[comp] = _Slots(self.packing)
+        pairs, leads = self.pairs[comp], self.leads[comp]
+        # criterion B: drop (i, j) when lt_h divides its lcm and neither
+        # (i, h) nor (j, h) has that same lcm
+        if pairs.live:
+            R, GG, TOP, _ = pairs.masks
+            missed = ((pairs.bits | GG) - at_h * R) & GG ^ GG
+            hits = (TOP - missed) & (TOP ^ pairs.dead)
+            while hits:
+                s = hits.bit_length() // S - 1  # the highest slot hit
+                hits ^= 1 << ((s + 1) * S - 1)
+                i, j = pairs.owners[s]
+                lcm_ij = pairs.entries[s] >> at
+                if _lcm(packed[i], ph, G, w) != lcm_ij and _lcm(packed[j], ph, G, w) != lcm_ij:
+                    del self.queued[(i, j)]
+                    pairs.drop(s)
+        # criteria M and F over one candidate per live lead: the least left
+        # is kept, and every candidate whose lcm it divides leaves. Among
+        # equal lcms a coprime pair (ideal case only) comes first, and is
+        # then dropped, since its S-polynomial reduces to zero.
+        new = []
+        if leads.live:
+            R, GG, TOP, C = leads.masks
+            X = (leads.bits | GG) - at_h * R
+            m = X & GG
+            Q = X & (m - (m >> w))  # lcm - ph
+            killed = (TOP - (m ^ GG)) & (TOP ^ leads.dead)
+            not_coprime = ((Q ^ leads.bits) + C) & TOP if self.ideal else TOP
+            candidates = Q | not_coprime >> (S - 1) | leads.dead
+            QG = Q | GG
+            while candidates & TOP != TOP:
+                least, g = _least_slot(candidates, leads.cap, S, leads.owners)
+                lcm = least >> at << at
+                if least & 1:
+                    new.append((g, lcm + at_h))
+                candidates |= (TOP - ((QG - lcm * R) & GG ^ GG)) & TOP
+            while killed:
+                s = killed.bit_length() // S - 1
+                killed ^= 1 << ((s + 1) * S - 1)
+                red.kill(leads.owners[s])
+                leads.drop(s)
+        leads.put(at_h, h)
+        for g, entry in new:
+            self.queued[(g, h)] = pairs.put(entry, (g, h))
+        return [g for g, _ in new]
+
+
 def _buchberger_engine(
     input_terms: list,
     keyed: _Keyed,
@@ -384,67 +601,21 @@ def _buchberger_engine(
 ) -> _Reducer:
     width = _width(exps for terms in input_terms for _, _, exps, _ in terms)
     red = _Reducer(keyed, p, deadline, width)
-    pairs: dict[tuple[int, int], int] = {}  # packed lcm of each queued pair
+    update = _PairUpdate(red)
     pair_heap: list = []
-    ideal = keyed.rank == 1
 
     def add_element(terms):
-        """The Gebauer-Moller update (1988) for a new element h."""
         if len(red.elements) >= MAX_BASIS:
             raise ResourceLimit(
                 "basis size cap exceeded", partial_basis_size=len(red.elements)
             )
-        packing = red.packing
         h = red.add(terms)
-        lead, packed = red.lead, red.packed
-        if red.packing is not packing:
-            # h outgrew the fields: the queued lcms move to the new width
-            packing = red.packing
-            for i, j in pairs:
-                pairs[(i, j)] = packing.pack(monomial_lcm(lead[i][1], lead[j][1]))
-        G, w = packing.guards, packing.w
-        comp_h, lt_h = lead[h]
-        ph = packed[h]
-        # criterion B: drop (i, j) when lt_h divides its lcm and neither
-        # (i, h) nor (j, h) has that same lcm
-        for (i, j), lcm_ij in list(pairs.items()):
-            if (
-                lead[i][0] == comp_h
-                and ((lcm_ij | G) - ph) & G == G
-                and _lcm(packed[i], ph, G, w) != lcm_ij
-                and _lcm(packed[j], ph, G, w) != lcm_ij
-            ):
-                del pairs[(i, j)]
-        # new pairs with the live elements of h's component; an element whose
-        # lead lt_h divides leaves the basis
-        new = []
-        for g in red.mono_by_comp[comp_h] + red.gen_by_comp[comp_h]:
-            if g == h:
-                continue
-            pg = packed[g]
-            lcm = _lcm(ph, pg, G, w)
-            new.append((lcm, not ideal or lcm != ph + pg, g))
-            if _divides(ph, pg, G):
-                red.kill(g)
-        # criteria M and F: a pair stays only if no kept lcm divides its own.
-        # Packed order puts every divisor first; coprime pairs (ideal case
-        # only) sort first among equal lcms and are then dropped, since
-        # their S-polynomials reduce to zero.
-        new.sort()
-        kept: list[int] = []
-        for lcm, not_coprime, g in new:
-            lcm_g = lcm | G
-            for k in kept:
-                if (lcm_g - k) & G == G:
-                    break
-            else:
-                kept.append(lcm)
-                if not_coprime:
-                    pairs[(g, h)] = lcm
-                    key_lcm = monomial_lcm(lt_h, lead[g][1])
-                    heapq.heappush(
-                        pair_heap, (sum(key_lcm), keyed.term_key(comp_h, key_lcm), g, h)
-                    )
+        comp_h, lt_h = red.lead[h]
+        for g in update.add(h):
+            key_lcm = monomial_lcm(lt_h, red.lead[g][1])
+            heapq.heappush(
+                pair_heap, (sum(key_lcm), keyed.term_key(comp_h, key_lcm), g, h)
+            )
 
     for terms in input_terms:
         r = red.normal_form_terms(terms)
@@ -454,9 +625,8 @@ def _buchberger_engine(
     while pair_heap:
         red.check_deadline()
         _, _, i, j = heapq.heappop(pair_heap)
-        if (i, j) not in pairs:
+        if not update.take(i, j):
             continue
-        del pairs[(i, j)]
         work, heap = red.spoly_terms(i, j)
         if not work:
             continue
@@ -497,6 +667,19 @@ def _as_elements(generators, rank: int | None):
     return elems, rank
 
 
+def _engine(generators, rank, deadline, order=None) -> _Reducer:
+    """The engine run on the generators, for buchberger and _live_leads."""
+    elems, rank = _as_elements(generators, rank)
+    if not elems:
+        raise HilbertKunzError("cannot infer the ring from an empty input")
+    ring = elems[0].ring
+    if order is not None and order != ring.order:
+        raise OrderMismatch("order differs from the ring order")
+    keyed = _Keyed(ring, rank)
+    inputs = [_element_terms(e, keyed) for e in elems if not e.is_zero()]
+    return _buchberger_engine(inputs, keyed, ring.p, deadline)
+
+
 def buchberger(
     generators,
     order: MonomialOrder | None = None,
@@ -507,22 +690,23 @@ def buchberger(
 
     `order` may only restate the ring's order; the basis always uses it.
     """
-    elems, rank = _as_elements(generators, rank)
-    if not elems:
-        raise HilbertKunzError("cannot infer the ring from an empty input")
-    ring = elems[0].ring
-    if order is not None and order != ring.order:
-        raise OrderMismatch("order differs from the ring order")
-    nonzero = [e for e in elems if not e.is_zero()]
-    if not nonzero:
-        return GroebnerBasis((), rank, ring)
-    keyed = _Keyed(ring, rank)
-    inputs = [_element_terms(e, keyed) for e in nonzero]
-    red = _buchberger_engine(inputs, keyed, ring.p, deadline)
+    red = _engine(generators, rank, deadline, order)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
+    keyed = red.keyed
     elements = tuple(_terms_to_element(t, keyed) for t in final)
-    return GroebnerBasis(elements, rank, ring)
+    return GroebnerBasis(elements, keyed.rank, keyed.ring)
+
+
+def _live_leads(generators, rank: int, deadline: float | None = None) -> list[list[Exponents]]:
+    """Each component's leads when the engine stops, unreduced: no live
+    lead divides another, so they are the leads of the reduced basis, and
+    the count needs nothing else."""
+    red = _engine(generators, rank, deadline)
+    return [
+        [red.lead[g][1] for g in chain(mono, gen)]
+        for mono, gen in zip(red.mono_by_comp, red.gen_by_comp)
+    ]
 
 
 def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
@@ -627,18 +811,22 @@ def _minimalize(monos: list[int], guards: int, deadline: float | None = None) ->
     return out
 
 
-def _staircases(G: GroebnerBasis) -> list[tuple[list[int], list[Exponents]]]:
-    """(box, others) for each component of a reduced basis that holds no
-    unit: box[i] is the exponent of the pure power of x_i among the leads,
-    others the leads in two or more variables.
-
-    The leads of a reduced basis are minimal, so each variable has at most
-    one pure power and every other lead lies strictly inside the box.
-    Raises NotZeroDimensional when a variable has no pure power."""
-    v = G.ring.nvars
+def _component_leads(G: GroebnerBasis) -> list[list[Exponents]]:
     by_comp: list[list[Exponents]] = [[] for _ in range(G.rank)]
     for comp, exps in G.leading_terms():
         by_comp[comp].append(exps)
+    return by_comp
+
+
+def _staircases(by_comp, v: int) -> list[tuple[list[int], list[Exponents]]]:
+    """(box, others) for each component that holds no unit, from minimal
+    leads by component in v variables: box[i] is the exponent of the pure
+    power of x_i among the leads, others the leads in two or more
+    variables.
+
+    The leads are minimal, so each variable has at most one pure power and
+    every other lead lies strictly inside the box. Raises
+    NotZeroDimensional when a variable has no pure power."""
     out = []
     for leads in by_comp:
         box: list = [None] * v
@@ -665,7 +853,7 @@ def is_zero_dimensional(G: GroebnerBasis) -> bool:
     """Every (variable, component) needs a pure-power leading term, unless
     the component holds a unit."""
     try:
-        _staircases(G)
+        _staircases(_component_leads(G), G.ring.nvars)
     except NotZeroDimensional:
         return False
     return True
@@ -719,9 +907,14 @@ def count_standard_monomials(G: GroebnerBasis, deadline: float | None = None) ->
 
     Raises NotZeroDimensional when that number is infinite; past the
     deadline the count stops with ResourceLimit."""
+    return _count_leads(_component_leads(G), G.ring.nvars, deadline)
+
+
+def _count_leads(by_comp, nvars: int, deadline: float | None = None) -> int:
+    """count_standard_monomials on minimal leads by component."""
     nodes = [0]
     total = 0
-    for box, others in _staircases(G):
+    for box, others in _staircases(by_comp, nvars):
         # every generator lies inside the box, so the box sets the width
         packing = _packing(len(box), _width([box]))
         packed = [packing.pack(e) for e in others]

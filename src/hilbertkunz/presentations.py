@@ -21,8 +21,9 @@ from .errors import (
 from .groebner import (
     FreeElement,
     GroebnerBasis,
+    _count_leads,
+    _live_leads,
     buchberger,
-    count_standard_monomials,
     krull_dimension,
     normal_forms,
     syzygies,
@@ -313,7 +314,7 @@ def length_mod_frobenius(
 ) -> int:
     """Length of M / I^[p^n] M: the value of the length function at n,
     counted on the Groebner basis of relations(M) + I^[p^n] acting on every
-    generator.
+    generator. Only its leads are needed, so the basis is not tail-reduced.
 
     The Frobenius generators come from the tower kept on the ideal, so
     after n-1 the sample n takes one tower step. max_seconds bounds the
@@ -321,5 +322,5 @@ def length_mod_frobenius(
     raises NotZeroDimensional when the length is infinite."""
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     gens = frobenius_relations(module, ideal, n, deadline)
-    G = buchberger(gens, rank=module.rank, deadline=deadline)
-    return count_standard_monomials(G, deadline)
+    leads = _live_leads(gens, module.rank, deadline)
+    return _count_leads(leads, module.ringspec.ring.nvars, deadline)

@@ -435,6 +435,15 @@ def test_analyze_withholds_beta_without_pinned_alpha():
     assert any("beta withheld" in w for w in rep.warnings)
 
 
+def test_two_samples_claim_no_periodic_tail():
+    """The refined anchor (15 - 7)/(4 - 2) = 4 leaves the residuals
+    7 - 8 = 15 - 16 = -1 by construction, which is no evidence of a
+    period: the series stays unclassified."""
+    rep = analyze_series(make_series([7, 15], p=2, d=1))
+    assert rep.periodic_tail is None
+    assert rep.tail_classification == "unclassified"
+
+
 def test_analyze_module_vs_ring_fields():
     m, r = canonical_vs_ring()
     rep = analyze_module_vs_ring(m, r, 1)
@@ -490,7 +499,8 @@ def ladder_reference(series: HKSeries) -> AsymptoticReport:
     elif geometric is not None:
         classification = "geometric"
     else:
-        periodic = detect_periodic_tail(series, [alpha.extrapolated])
+        if len(series.samples) > 2:
+            periodic = detect_periodic_tail(series, [alpha.extrapolated])
         classification = "periodic" if periodic is not None else "unclassified"
     return AsymptoticReport(
         alpha, beta, fit, periodic, geometric, classification, warnings=warnings

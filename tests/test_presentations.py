@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hilbertkunz.groebner as groebner
 import hilbertkunz.presentations as presentations
 from conftest import load_problem
 from hilbertkunz.cli import run_problem
@@ -192,6 +193,21 @@ def test_negative_exponent_rejected():
     I = maximal_ideal(rs)
     with pytest.raises(SemanticError):
         length_mod_frobenius(free_module(rs, 1), I, -1)
+
+
+def test_lengths_with_two_word_slots():
+    """R = F_2[x1..x10]/(x10^2 + x1*x2) is free of rank 2 over
+    F_2[x1..x9], so with J = (x1..x9) the length is 2*q^9. At n = 5 the
+    leads pack into ten 7-bit fields, 70 bits, so each slot of the pair
+    update takes two 64-bit words."""
+    names = " ".join(f"x{i}" for i in range(1, 11))
+    rs = ring_spec(names, 2, ["x10^2 + x1*x2"])
+    J = ideal_spec(rs, [f"x{i}" for i in range(1, 10)])
+    M = free_module(rs, 1)
+    assert [length_mod_frobenius(M, J, n) for n in range(6)] == [
+        2 * 2 ** (9 * n) for n in range(6)
+    ]
+    assert groebner._packing(10, (2**5).bit_length()).slot == 128
 
 
 def test_time_budget():
