@@ -34,7 +34,7 @@ BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
-TRACE_WORKLOADS = ["frobenius_tower", "spairs"]
+TRACE_WORKLOADS = ["frobenius_tower", "spairs", "oracle_check"]
 TRACE_PAIRS = 3
 
 

@@ -1,16 +1,21 @@
 """Independent length computation by bounded-degree linear algebra.
 
-Builds the Macaulay-style matrix of all generator multiples up to a degree
-bound and counts monomials outside the column span. Exists to validate the
-Groebner pipeline on small instances, not to be fast. Elimination is pure
-Python: int bitsets over F_2, sparse {row: coefficient} columns over odd p.
+Counts the monomials of degree <= d outside the span of all relation
+multiples u * g of degree <= d. One Macaulay system grows with d, degree by
+degree as in Lazard (1983): rows are numbered by degree first, so bound d
+keeps its rows, columns and pivots at d + 1 and adds only the degree-d rows
+and the columns with |u| = d - deg g. Exists to validate the Groebner
+pipeline on small instances, not to be fast. Elimination is pure Python:
+int bitsets over F_2, sparse {row: coefficient} columns over odd p.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
+from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .errors import HilbertKunzError, MatrixTooLarge
@@ -22,20 +27,20 @@ MAX_COLUMNS = 50_000
 ORACLE_EXTRA_DEGREES = 60
 
 
+@lru_cache(maxsize=256)
+def _monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
+    """All exponent tuples of total degree exactly degree, in a fixed order."""
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    return tuple(
+        (k, *rest) for k in range(degree, -1, -1)
+        for rest in _monomials_of_degree(nvars - 1, degree - k)
+    )
+
+
 def monomials_up_to(nvars: int, degree: int) -> list[Exponents]:
     """All exponent tuples with total degree <= degree, in a fixed order."""
-    out = []
-    # stars and bars over degree d for each d
-    for d in range(degree + 1):
-        for bars in combinations(range(d + nvars - 1), nvars - 1):
-            exps = []
-            prev = -1
-            for b in bars:
-                exps.append(b - prev - 1)
-                prev = b
-            exps.append(d + nvars - 1 - prev - 1)
-            out.append(tuple(exps))
-    return out
+    return [m for d in range(degree + 1) for m in _monomials_of_degree(nvars, d)]
 
 
 def _components(element, rank: int) -> tuple[Polynomial, ...]:
@@ -62,34 +67,14 @@ def _nonzero_relations(relations, rank: int, p: int):
     return rels, ring.nvars
 
 
-@dataclass
-class MacaulaySystem:
-    """One bounded-degree system: row basis, columns, and the resulting count."""
-
-    degree_bound: int
-    n_rows: int
-    n_cols: int
-    rank: int
-    count: int
-
-
-def _columns(rels, multipliers, row_index) -> list[dict[int, int]]:
-    """One {row: coefficient} column per relation and multiplier u: the
-    multiple u * relation written in the rows of row_index.
-
-    multipliers[k] lists the multipliers of rels[k]. A term whose monomial
-    has no row is dropped; that is the box filter of exact_box_count, and
-    never happens in build_system, whose multipliers keep every term within
-    the degree bound. Distinct terms of a relation shift to distinct rows.
-    """
-    n_rows = len(row_index)
-    n_cols = sum(len(mults) for mults in multipliers)
-    if n_cols > MAX_COLUMNS or n_rows * n_cols > CELL_CAP:
-        raise MatrixTooLarge(
-            f"{n_rows} x {n_cols} exceeds the configured oracle limits"
-        )
+def _columns(multiples, row_index) -> list[dict[int, int]]:
+    """One {row: coefficient} column u * relation, written in the rows of
+    row_index, per (relation, multipliers) pair of multiples and multiplier
+    u. A term whose monomial has no row is dropped; that is the box filter
+    of exact_box_count, and never happens in a MacaulaySystem. Distinct
+    terms of a relation shift to distinct rows."""
     cols = []
-    for comps, mults in zip(rels, multipliers):
+    for comps, mults in multiples:
         entries = [
             (j, e, c)
             for j, poly in enumerate(comps)
@@ -98,32 +83,40 @@ def _columns(rels, multipliers, row_index) -> list[dict[int, int]]:
         for u in mults:
             col = {}
             for j, e, c in entries:
-                row = row_index.get((j, tuple(a + b for a, b in zip(e, u))))
+                row = row_index.get((j, tuple(map(add, e, u))))
                 if row is not None:
                     col[row] = c
             cols.append(col)
     return cols
 
 
-def _rank_gf2(columns: list[int]) -> int:
-    """Rank over F_2 of columns given as int bitsets (bit r = row r)."""
-    pivots: dict[int, int] = {}
+def _check_size(n_rows: int, n_cols: int) -> None:
+    if n_cols > MAX_COLUMNS or n_rows * n_cols > CELL_CAP:
+        raise MatrixTooLarge(
+            f"{n_rows} x {n_cols} exceeds the configured oracle limits"
+        )
+
+
+def _rank_gf2(pivots: dict[int, int], columns: list[int]) -> int:
+    """Extend pivots, {top row: column}, by eliminating columns over F_2
+    given as int bitsets (bit r = row r) on their top rows; return the
+    rank, len(pivots)."""
     for col in columns:
         while col:
             top = col.bit_length() - 1
-            if top in pivots:
-                col ^= pivots[top]
-            else:
+            pivot = pivots.get(top)
+            if pivot is None:
                 pivots[top] = col
                 break
+            col ^= pivot
     return len(pivots)
 
 
-def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of sparse {row: coefficient} columns, pivoting on each
-    column's top row. Coefficients lie in [1, p); stored pivot columns are
-    scaled to 1 at their pivot."""
-    pivots: dict[int, dict[int, int]] = {}
+def _rank_gfp(pivots: dict[int, dict[int, int]], columns: list[dict[int, int]],
+              p: int) -> int:
+    """_rank_gf2 over F_p, for sparse {row: coefficient} columns with
+    coefficients in [1, p); stored pivot columns are scaled to 1 at their
+    pivot."""
     for col in columns:
         col = dict(col)
         while col:
@@ -144,39 +137,70 @@ def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def _rank(columns: list[dict[int, int]], p: int) -> int:
+def _rank(pivots: dict, columns: list[dict[int, int]], p: int) -> int:
     if p == 2:
-        return _rank_gf2([sum(1 << r for r in col) for col in columns])
-    return _rank_gfp(columns, p)
+        return _rank_gf2(pivots, [sum(1 << r for r in col) for col in columns])
+    return _rank_gfp(pivots, columns, p)
+
+
+class MacaulaySystem:
+    """The relations' Macaulay system, grown from bound -1 (no rows) one
+    degree at a time: degree_bound, n_rows, n_cols, rank and count describe
+    the current bound, counts[d] the count at every bound d grown through.
+    The rank does not depend on column order or row numbering, so each
+    count is that of the system built from scratch at its bound."""
+
+    def __init__(self, relations, rank: int, p: int):
+        rels, self.nvars = _nonzero_relations(relations, rank, p)
+        self.components, self.p = rank, p
+        # (degree, relation); a relation's degree is its largest term's
+        self.relations = [
+            (max(sum(e) for c in comps for e, _ in c.terms), comps)
+            for comps in rels
+        ]
+        self.degree_bound = -1
+        self.n_rows = self.n_cols = self.rank = self.count = 0
+        self.counts: list[int] = []
+        self._rows: dict[tuple[int, Exponents], int] = {}
+        self._pivots: dict = {}
+
+    def grow(self, degree_bound: int) -> None:
+        """Grow to degree_bound, one bound at a time. The limits are checked
+        once, on the system at degree_bound, before anything grows, so a
+        MatrixTooLarge names that system and leaves this one as it was."""
+        v = self.nvars
+        _check_size(
+            self.components * comb(degree_bound + v, v),
+            sum(comb(degree_bound - deg + v, v)
+                for deg, _ in self.relations if deg <= degree_bound),
+        )
+        for d in range(self.degree_bound + 1, degree_bound + 1):
+            for j in range(self.components):
+                for m in _monomials_of_degree(v, d):
+                    self._rows[(j, m)] = len(self._rows)
+            cols = _columns(
+                [(comps, _monomials_of_degree(v, d - deg))
+                 for deg, comps in self.relations if deg <= d],
+                self._rows,
+            )
+            self.rank = _rank(self._pivots, cols, self.p)
+            self.n_rows, self.n_cols = len(self._rows), self.n_cols + len(cols)
+            self.degree_bound, self.count = d, self.n_rows - self.rank
+            self.counts.append(self.count)
 
 
 def build_system(relations, rank: int, p: int, degree_bound: int) -> MacaulaySystem:
-    """Assemble and eliminate the degree-bounded system once."""
-    rels, v = _nonzero_relations(relations, rank, p)
-    # a generator of degree above the bound gets no multipliers at all
-    degs = [
-        max(sum(e) for c in comps for e, _ in c.terms) for comps in rels
-    ]
-    mults = {d: monomials_up_to(v, degree_bound - d) for d in set(degs)}
-
-    row_index = {}
-    for j in range(rank):
-        for m in monomials_up_to(v, degree_bound):
-            row_index[(j, m)] = len(row_index)
-    n_rows = len(row_index)
-
-    cols = _columns(rels, [mults[d] for d in degs], row_index)
-    rk = _rank(cols, p)
-    return MacaulaySystem(degree_bound, n_rows, len(cols), rk, n_rows - rk)
+    """The system of the relations grown to degree_bound."""
+    system = MacaulaySystem(relations, rank, p)
+    system.grow(degree_bound)
+    return system
 
 
-def _pure_power_box(relations, rank: int):
+def _pure_power_box(rels, v: int, rank: int):
     """Minimal pure-power degree for every (component, variable) pair, from
-    single-term relations; None when some pair has no pure power. A unit
-    relation zeroes its whole component."""
-    rels = [_components(g, rank) for g in relations]
-    ring = next(c.ring for comps in rels for c in comps)
-    v = ring.nvars
+    the single-term relations among the component tuples rels; None when
+    some pair has no pure power. A unit relation zeroes its whole
+    component."""
     box: list[list[int | None]] = [[None] * v for _ in range(rank)]
     for comps in rels:
         terms = [(j, e) for j, poly in enumerate(comps) for e, _ in poly.terms]
@@ -205,7 +229,7 @@ def exact_box_count(relations, rank: int, p: int) -> int:
     alone. The count dim V - rank is exact, not a degree-truncated bound.
     """
     rels, v = _nonzero_relations(relations, rank, p)
-    box = _pure_power_box(relations, rank)
+    box = _pure_power_box(rels, v, rank)
     if box is None:
         raise HilbertKunzError(
             "no pure-power certificate: some (component, variable) pair "
@@ -219,22 +243,22 @@ def exact_box_count(relations, rank: int, p: int) -> int:
     maxb = [max(box[j][i] for j in range(rank)) for i in range(v)]
     mults = list(product(*[range(b) for b in maxb]))
 
-    cols = _columns(rels, [mults] * len(rels), row_index)
-    return len(row_index) - _rank(cols, p)
+    _check_size(len(row_index), len(rels) * len(mults))
+    cols = _columns([(comps, mults) for comps in rels], row_index)
+    return len(row_index) - _rank({}, cols, p)
 
 
-def _certified(
-    relations, rank: int, p: int, degree_bound: int, count: int,
-    prev_count: int | None,
-) -> bool:
-    """oracle_length's certificate for `count` at `degree_bound`, given the
-    count at degree_bound - 1 (None below degree 0)."""
-    if count != prev_count:
+def _certified(system: MacaulaySystem, relations) -> bool:
+    """oracle_length's certificate for the count of a system of relations
+    at its current bound."""
+    d, rank = system.degree_bound, system.components
+    if d < 1 or system.counts[d - 1] != system.count:
         return False
-    box = _pure_power_box(relations, rank)
-    if box is None or any(b > degree_bound for row in box for b in row):
+    rels = [comps for _, comps in system.relations]
+    box = _pure_power_box(rels, system.nvars, rank)
+    if box is None or any(b > d for row in box for b in row):
         return False
-    return count == exact_box_count(relations, rank, p)
+    return system.count == exact_box_count(relations, rank, system.p)
 
 
 def oracle_length(
@@ -254,12 +278,8 @@ def oracle_length(
     lie (cancellation can resurface many degrees later), so the certificate
     is checked against the exact value, never inferred from the plateau.
     """
-    count = build_system(relations, rank, p, degree_bound).count
-    prev_count = None
-    if degree_bound >= 1:
-        prev_count = build_system(relations, rank, p, degree_bound - 1).count
-    stable = _certified(relations, rank, p, degree_bound, count, prev_count)
-    return count, stable
+    system = build_system(relations, rank, p, degree_bound)
+    return system.count, _certified(system, relations)
 
 
 class StableLength(NamedTuple):
@@ -283,18 +303,14 @@ def stable_length(
     """Raise the degree bound from the largest generator degree (at least
     1) until the certificate holds, at most ORACLE_EXTRA_DEGREES times.
 
-    Agrees with calling oracle_length at each bound in turn, but builds each
-    bound's system once. A cap (MatrixTooLarge), or a `time.monotonic()`
-    deadline passed before a new bound, ends the walk with the last
-    completed count, uncertified.
+    Agrees with calling oracle_length at each bound in turn, but grows one
+    MacaulaySystem through all the bounds. A cap (MatrixTooLarge) on the
+    system at a bound, or a `time.monotonic()` deadline passed before it,
+    ends the walk with the last completed count, uncertified.
     """
-    start = max(
-        (sum(e) for g in relations for c in _components(g, rank)
-         for e, _ in c.terms),
-        default=1,
-    )
-    start = max(start, 1)
-    count = degree = prev_count = None
+    system = MacaulaySystem(relations, rank, p)
+    start = max(max(deg for deg, _ in system.relations), 1)
+    count = degree = None
     try:
         for d in range(start, start + ORACLE_EXTRA_DEGREES + 1):
             if deadline is not None and time.monotonic() > deadline:
@@ -302,13 +318,10 @@ def stable_length(
                     count, False, degree,
                     f"oracle stopped at degree {d}: time budget exceeded",
                 )
-            current = build_system(relations, rank, p, d).count
-            if prev_count is None:
-                prev_count = build_system(relations, rank, p, d - 1).count
-            if _certified(relations, rank, p, d, current, prev_count):
-                return StableLength(current, True, d, None)
-            count = prev_count = current
-            degree = d
+            system.grow(d)
+            if _certified(system, relations):
+                return StableLength(system.count, True, d, None)
+            count, degree = system.count, d
     except MatrixTooLarge as exc:
         return StableLength(
             count, False, degree, f"oracle stopped at degree {d}: {exc}"

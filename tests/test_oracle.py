@@ -1,10 +1,11 @@
 """Bounded-degree length oracle: counts, stability certificate, caps, the
 degree walk, and the two rank routines."""
 
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hilbertkunz import oracle
@@ -194,11 +195,15 @@ def test_walk_keeps_last_count_when_the_deadline_passes(monkeypatch):
 
 
 def test_walk_reports_a_cap_at_the_first_degree(monkeypatch):
+    """The cap names the first bound's system (degree 3 here), not the
+    smaller system at degree 2 that the walk also needs."""
     S = ring("x y z", 2)
     monkeypatch.setattr(oracle, "CELL_CAP", 10)
-    walk = stable_length(polys(S, "x^2", "y^2", "z^2"), 1, 2)
-    assert walk[:3] == (None, False, None)
-    assert walk.stopped.startswith("oracle stopped at degree 2: ")
+    walk = stable_length(polys(S, "x", "y^2", "z^3"), 1, 2)
+    assert walk == (
+        None, False, None,
+        "oracle stopped at degree 3: 20 x 15 exceeds the configured oracle limits",
+    )
 
 
 def reference_rank(columns, p):
@@ -248,7 +253,57 @@ def test_rank_routines_match_row_reduction(case):
     p, columns = case
     expected = reference_rank(columns, p)
     sparse = [{r: c for r, c in enumerate(col) if c} for col in columns]
-    assert _rank_gfp(sparse, p) == expected
+    assert _rank_gfp({}, sparse, p) == expected
     if p == 2:
         bitsets = [sum(1 << r for r in col) for col in sparse]
-        assert _rank_gf2(bitsets) == expected
+        assert _rank_gf2({}, bitsets) == expected
+
+
+@st.composite
+def macaulay_cases(draw):
+    """Relations in rank 1-2 over 1-3 variables and p in {2, 3, 5}: not
+    homogeneous, of mixed degree up to 3, and sometimes a unit."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2))
+    S = ring(" ".join(f"x{i}" for i in range(nvars)), p)
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: sum(e) <= 3)
+    poly = st.dictionaries(exps, st.integers(1, p - 1), max_size=3).map(S.from_dict)
+    relations = draw(st.lists(st.tuples(*[poly] * rank), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, rank - 1))
+        relations.append(tuple(S.one() if k == j else S.zero() for k in range(rank)))
+    assume(any(c.terms for rel in relations for c in rel))
+    return p, rank, nvars, relations
+
+
+def dense_count(relations, rank, p, nvars, d):
+    """Rows minus rank of the bound-d Macaulay matrix, built from scratch
+    with the rows numbered component first."""
+    monomials = [m for m in product(range(d + 1), repeat=nvars) if sum(m) <= d]
+    rows = {(j, m): k for k, (j, m) in enumerate(product(range(rank), monomials))}
+    columns = []
+    for rel in relations:
+        terms = [(j, e, c) for j, poly in enumerate(rel) for e, c in poly.terms]
+        if not terms:
+            continue
+        for u in monomials:
+            if sum(u) + max(sum(e) for _, e, _ in terms) > d:
+                continue
+            col = [0] * len(rows)
+            for j, e, c in terms:
+                col[rows[(j, tuple(a + b for a, b in zip(e, u)))]] = c
+            columns.append(col)
+    return len(rows) - reference_rank(columns, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(macaulay_cases())
+def test_grown_counts_match_the_matrix_built_from_scratch(case):
+    """Growing one system bound by bound gives, at every bound, the count
+    of the Macaulay matrix assembled from scratch at that bound."""
+    p, rank, nvars, relations = case
+    system = build_system(relations, rank, p, 4)
+    assert system.counts == [
+        dense_count(relations, rank, p, nvars, d) for d in range(5)
+    ]
