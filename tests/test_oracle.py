@@ -1,5 +1,6 @@
 """Bounded-degree length oracle: counts, stability certificate, caps, the
-degree walk, and the two rank routines."""
+degree walk, the two rank routines, and the grown system against matrices
+built from scratch."""
 
 from itertools import product
 from types import SimpleNamespace
