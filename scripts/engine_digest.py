@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""One-line digest of every Buchberger run behind the corpus fixtures.
+
+    python3 scripts/engine_digest.py
+
+Runs each (stem, subcommand) of regen_fixtures.RUNS with groebner._engine
+wrapped, and hashes each engine run's elements (the monic term lists, in
+the order the run created them). Prints
+
+    engine runs N, heap pops P, sha256 H
+
+where P sums the reducer's heap pops over the runs. Two trees that print
+the same line took the same engine trajectory, not only the same lengths,
+so a refactor of the engine can be checked with one diff.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from regen_fixtures import CORPUS, RUNS  # noqa: E402  (also puts src on the path)
+
+from hilbertkunz import groebner  # noqa: E402
+from hilbertkunz.cli import run_problem  # noqa: E402
+from hilbertkunz.problemfile import parse_problem  # noqa: E402
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    runs = pops = 0
+    engine = groebner._engine
+
+    def traced(*args, **kwargs):
+        nonlocal runs, pops
+        red = engine(*args, **kwargs)
+        runs += 1
+        pops += red.steps
+        digest.update(repr(red.elements).encode())
+        return red
+
+    groebner._engine = traced
+    try:
+        for stem, subcommand in RUNS:
+            report = run_problem(subcommand, parse_problem((CORPUS / f"{stem}.hk").read_text()))
+            if report["error"] is not None:
+                raise SystemExit(f"{stem}: {report['error']}")
+    finally:
+        groebner._engine = engine
+    print(f"engine runs {runs}, heap pops {pops}, sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -291,9 +291,11 @@ def detect_periodic_tail(
 ) -> PeriodicTail | None:
     """Smallest eventual period of t_n = length_n - sum(leading_i q^{d-i}).
 
-    Periods 1..PERIOD_MAX are tried. A period P is accepted when the residuals agree on every class n mod P
-    from some start onward, with each class observed at least twice past the
-    start. Residues are reported indexed by n mod P.
+    Periods 1..PERIOD_MAX are tried. A period P is accepted when the
+    residuals agree on every class n mod P over a tail of more than 2P
+    samples: each class observed twice, and one sample spare, since the
+    anchor behind the residuals can make two of them agree by
+    construction. Residues are reported indexed by n mod P.
     """
     if len(series.samples) < 2:
         raise InsufficientSamples("periodic detection needs at least 2 samples")
@@ -303,17 +305,12 @@ def detect_periodic_tail(
     for period in range(1, PERIOD_MAX + 1):
         for start_idx in range(len(ns)):
             tail = ns[start_idx:]
-            if len(tail) < 2 * period:
+            if len(tail) <= 2 * period:
                 break
             # n is consecutive, so agreeing one period apart is agreeing
-            # on each class
-            ok = all(t[n] == t[n + period] for n in tail[: len(tail) - period])
-            if ok:
-                residues: list[Fraction | None] = [None] * period
-                for n in tail:
-                    residues[n % period] = t[n]
-                if any(r is None for r in residues):
-                    continue
+            # on each class, and the tail's first period meets every class
+            if all(t[n] == t[n + period] for n in tail[: len(tail) - period]):
+                residues = (t[tail[0] + (r - tail[0]) % period] for r in range(period))
                 return PeriodicTail(period, tail[0], tuple(residues))
     return None
 
@@ -594,9 +591,7 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
     else:
         beta = estimate_beta(series, alpha.extrapolated)
 
-    # two samples cannot show a period: with d = 1 the refined anchor makes
-    # their residuals equal by construction
-    if alpha.method in ("rational_pin", "refined_sequence") and len(series.samples) > 2:
+    if alpha.method in ("rational_pin", "refined_sequence"):
         periodic = detect_periodic_tail(series, [alpha.extrapolated])
     classification = {
         "polynomial_fit": "polynomial", "geometric_tail": "geometric"

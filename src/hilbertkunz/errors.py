@@ -22,14 +22,7 @@ class OrderMismatch(HilbertKunzError):
 
 
 class ResourceLimit(HilbertKunzError):
-    """A configured work cap was exceeded.
-
-    Carries enough context to report how far the computation got.
-    """
-
-    def __init__(self, message: str, partial_basis_size: int | None = None):
-        super().__init__(message)
-        self.partial_basis_size = partial_basis_size
+    """A configured work cap or time budget was exceeded."""
 
 
 class NotZeroDimensional(HilbertKunzError):

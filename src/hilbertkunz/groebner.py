@@ -24,7 +24,8 @@ sit in the slots of one int (_Slots), so one subtraction tests a new lead
 against all of them. A slot is 64k bits: a flag bit at the bottom, the
 packed monomial just below the top bit, and the top bit free. A slot
 that holds nothing live has its top bit set in a second int, the dead
-bits, which keep it out of every answer.
+bits, which keep it out of every answer. The update also owns the queue
+of S-pairs: a queued pair is live exactly while it owns its slot.
 """
 
 from __future__ import annotations
@@ -234,6 +235,11 @@ def _lcm(a: int, b: int, guards: int, w: int) -> int:
     return (a & sel) | (b & ~sel)
 
 
+def _check_deadline(deadline: float | None):
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceLimit("time budget exceeded")
+
+
 class _Reducer:
     """Shared reduction state: basis elements bucketed by leading component.
 
@@ -287,12 +293,6 @@ class _Reducer:
         else:
             self.gen_by_comp[j].remove(idx)
 
-    def check_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimit(
-                "time budget exceeded", partial_basis_size=len(self.elements)
-            )
-
     def reduce(self, work: dict, heap: list):
         """Full normal form of the work dict; returns canonical term list."""
         p = self.p
@@ -312,7 +312,7 @@ class _Reducer:
             steps += 1
             if steps & 15 == 0:
                 self.steps = steps  # kept when the deadline stops the reduction
-                self.check_deadline()
+                _check_deadline(self.deadline)
             key, comp, exps = pop(heap)
             c = work.get((comp, exps))
             if not c:
@@ -363,13 +363,12 @@ class _Reducer:
         heapq.heapify(heap)
         return self.reduce(work, heap)
 
-    def spoly_terms(self, i: int, j: int):
-        """S-vector of two monic elements with equal leading component."""
+    def spoly_terms(self, i: int, j: int, lcm: Exponents):
+        """S-vector of two monic elements with equal leading component,
+        whose leads have the lcm given."""
         ti, tj = self.elements[i], self.elements[j]
-        (_, ci, ei, _), (_, cj, ej, _) = ti[0], tj[0]
-        lcm = monomial_lcm(ei, ej)
-        si = tuple(map(sub, lcm, ei))
-        sj = tuple(map(sub, lcm, ej))
+        si = tuple(map(sub, lcm, ti[0][2]))
+        sj = tuple(map(sub, lcm, tj[0][2]))
         keyed = self.keyed
         p = self.p
         work: dict = {}
@@ -487,7 +486,8 @@ class _Slots:
 
 
 class _PairUpdate:
-    """The Gebauer-Moller pair update (1988), on _Slots per component.
+    """The Gebauer-Moller pair update (1988), on _Slots per component, and
+    the queue of S-pairs it keeps.
 
     With ph = lt_h in every slot and X = (leads | GG) - ph, the guards
     m = X & GG are set where a lead's field is at least ph's: h kills the
@@ -496,7 +496,13 @@ class _PairUpdate:
     lead. With a not-coprime flag below Q, criteria M and F keep the
     least (Q, flag, g) in rounds, each marking every slot its Q divides
     dead. Criterion B tests lt_h against every queued lcm at once, then
-    checks the two lcms of each hit."""
+    checks the two lcms of each hit.
+
+    A queued pair is one tuple (g, h, lcm) that owns its slot in the pairs
+    of its component; the heap holds (degree, key, g, h, slot, pair) for
+    it, ordered by the lcm's degree, then its term key, then g and h. A
+    pair criterion B drops gives up its slot and stays in the heap, where
+    pop skips it: its slot is then dead or owned by a later pair."""
 
     def __init__(self, red: _Reducer):
         self.red = red
@@ -505,37 +511,39 @@ class _PairUpdate:
         # each component's slots, made on its first lead
         self.leads: list = [None] * red.keyed.rank
         self.pairs: list = [None] * red.keyed.rank
-        self.queued: dict[tuple[int, int], int] = {}  # slot of each queued pair
+        self.heap: list = []
 
-    def take(self, g: int, h: int) -> bool:
-        """Dequeue the pair (g, h); False when criterion B dropped it."""
-        s = self.queued.pop((g, h), None)
-        if s is None:
-            return False
-        self.pairs[self.red.lead[h][0]].drop(s)
-        return True
+    def pop(self) -> tuple[int, int, Exponents] | None:
+        """The least queued pair (g, h, lcm) still live, dequeued; None when
+        there is none."""
+        heap = self.heap
+        while heap:
+            _, key, _, _, s, pair = heapq.heappop(heap)
+            pairs = self.pairs[key[0]]
+            if pairs.owners[s] is pair:
+                pairs.drop(s)
+                return pair
+        return None
 
     def _repack(self):
         """h outgrew the fields: every lead and queued lcm moves to the
         new width, in the same slots."""
-        red = self.red
-        packing = self.packing = red.packing
-        lead, packed = red.lead, red.packed
+        packing = self.packing = self.red.packing
+        packed = self.red.packed
         for leads in filter(None, self.leads):
             leads.repack(packing, [
                 0 if g is None else packed[g] << packing.at for g in leads.owners
             ])
         for pairs in filter(None, self.pairs):
             pairs.repack(packing, [
-                0 if pair is None
-                else packing.pack(monomial_lcm(lead[pair[0]][1], lead[pair[1]][1])) << packing.at
+                0 if pair is None else packing.pack(pair[2]) << packing.at
                 for pair in pairs.owners
             ])
 
-    def add(self, h: int) -> list[int]:
+    def add(self, h: int):
         """Drop the queued pairs criterion B rules out, kill the live
         elements whose lead lt_h divides, and queue the new pairs (g, h)
-        criteria M and F keep; returns their g."""
+        criteria M and F keep."""
         red = self.red
         if red.packing is not self.packing:
             self._repack()
@@ -557,10 +565,9 @@ class _PairUpdate:
             while hits:
                 s = hits.bit_length() // S - 1  # the highest slot hit
                 hits ^= 1 << ((s + 1) * S - 1)
-                i, j = pairs.owners[s]
+                i, j, _ = pairs.owners[s]
                 lcm_ij = pairs.entries[s] >> at
                 if _lcm(packed[i], ph, G, w) != lcm_ij and _lcm(packed[j], ph, G, w) != lcm_ij:
-                    del self.queued[(i, j)]
                     pairs.drop(s)
         # criteria M and F over one candidate per live lead: the least left
         # is kept, and every candidate whose lcm it divides leaves. Among
@@ -588,53 +595,12 @@ class _PairUpdate:
                 red.kill(leads.owners[s])
                 leads.drop(s)
         leads.put(at_h, h)
+        term_key = red.keyed.term_key
         for g, entry in new:
-            self.queued[(g, h)] = pairs.put(entry, (g, h))
-        return [g for g, _ in new]
-
-
-def _buchberger_engine(
-    input_terms: list,
-    keyed: _Keyed,
-    p: int,
-    deadline: float | None = None,
-) -> _Reducer:
-    width = _width(exps for terms in input_terms for _, _, exps, _ in terms)
-    red = _Reducer(keyed, p, deadline, width)
-    update = _PairUpdate(red)
-    pair_heap: list = []
-
-    def add_element(terms):
-        if len(red.elements) >= MAX_BASIS:
-            raise ResourceLimit(
-                "basis size cap exceeded", partial_basis_size=len(red.elements)
-            )
-        h = red.add(terms)
-        comp_h, lt_h = red.lead[h]
-        for g in update.add(h):
-            key_lcm = monomial_lcm(lt_h, red.lead[g][1])
-            heapq.heappush(
-                pair_heap, (sum(key_lcm), keyed.term_key(comp_h, key_lcm), g, h)
-            )
-
-    for terms in input_terms:
-        r = red.normal_form_terms(terms)
-        if r:
-            add_element(r)
-
-    while pair_heap:
-        red.check_deadline()
-        _, _, i, j = heapq.heappop(pair_heap)
-        if not update.take(i, j):
-            continue
-        work, heap = red.spoly_terms(i, j)
-        if not work:
-            continue
-        r = red.reduce(work, heap)
-        if r:
-            add_element(r)
-
-    return red
+            lcm = self.packing.unpack(entry >> at)
+            pair = (g, h, lcm)
+            s = pairs.put(entry, pair)
+            heapq.heappush(self.heap, (sum(lcm), term_key(comp, lcm), g, h, s, pair))
 
 
 def _reduced_from_engine(red: _Reducer) -> list:
@@ -668,7 +634,8 @@ def _as_elements(generators, rank: int | None):
 
 
 def _engine(generators, rank, deadline, order=None) -> _Reducer:
-    """The engine run on the generators, for buchberger and _live_leads."""
+    """The engine run on the generators, for buchberger and _live_leads:
+    the inputs reduced one by one, then the S-pairs in the update's order."""
     elems, rank = _as_elements(generators, rank)
     if not elems:
         raise HilbertKunzError("cannot infer the ring from an empty input")
@@ -677,7 +644,27 @@ def _engine(generators, rank, deadline, order=None) -> _Reducer:
         raise OrderMismatch("order differs from the ring order")
     keyed = _Keyed(ring, rank)
     inputs = [_element_terms(e, keyed) for e in elems if not e.is_zero()]
-    return _buchberger_engine(inputs, keyed, ring.p, deadline)
+    width = _width(exps for terms in inputs for _, _, exps, _ in terms)
+    red = _Reducer(keyed, ring.p, deadline, width)
+    update = _PairUpdate(red)
+
+    def add_element(terms):
+        if len(red.elements) >= MAX_BASIS:
+            raise ResourceLimit("basis size cap exceeded")
+        update.add(red.add(terms))
+
+    for terms in inputs:
+        r = red.normal_form_terms(terms)
+        if r:
+            add_element(r)
+    while pair := update.pop():
+        _check_deadline(deadline)
+        work, heap = red.spoly_terms(*pair)
+        if work:
+            r = red.reduce(work, heap)
+            if r:
+                add_element(r)
+    return red
 
 
 def buchberger(
@@ -752,8 +739,8 @@ def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
         for j in range(i + 1, n):
             if red.lead[i][0] != red.lead[j][0]:
                 continue
-            work, heap = red.spoly_terms(i, j)
-            if red.reduce(work, heap):
+            lcm = monomial_lcm(red.lead[i][1], red.lead[j][1])
+            if red.reduce(*red.spoly_terms(i, j, lcm)):
                 return False
     return True
 
@@ -787,11 +774,6 @@ def syzygies(generators) -> list[FreeElement]:
 
 
 # -- staircase combinatorics --------------------------------------------------
-
-
-def _check_deadline(deadline: float | None):
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceLimit("time budget exceeded")
 
 
 def _minimalize(monos: list[int], guards: int, deadline: float | None = None) -> list[int]:

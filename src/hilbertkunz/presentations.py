@@ -14,13 +14,13 @@ from functools import cached_property
 
 from .errors import (
     RankMismatch,
-    ResourceLimit,
     RingMismatch,
     SemanticError,
 )
 from .groebner import (
     FreeElement,
     GroebnerBasis,
+    _check_deadline,
     _count_leads,
     _live_leads,
     buchberger,
@@ -129,8 +129,9 @@ class ModulePresentation:
 
     Construction appends defining_ideal * e_j for every component j, so the
     stored relations always present an R-module. declared_generic_rank is
-    the user's claim for the rank of M over R (used by delta/tau analysis);
-    it is recorded, not verified.
+    the user's claim for the rank of M over R; it is recorded (and added
+    up by direct_sum), not verified, and the analysis does not read it:
+    analyze_module_vs_ring takes the rank as an argument.
     """
 
     ringspec: RingSpec
@@ -290,8 +291,7 @@ def frobenius_relations(
     if rs.basis is None:
         frob = [frobenius_power_poly(f, S.p**n) for f in ideal.generators]
     else:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimit("time budget exceeded")
+        _check_deadline(deadline)
         levels = ideal._tower
         if len(levels) <= n:
             nf = normal_forms(rs.basis, deadline)

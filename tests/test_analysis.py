@@ -444,6 +444,16 @@ def test_two_samples_claim_no_periodic_tail():
     assert rep.tail_classification == "unclassified"
 
 
+def test_periodic_pin_needs_a_spare_sample():
+    """The anchor (100 - 40)/(16 - 8) = 15/2 leaves the last two residuals
+    40 - 60 = 100 - 120 = -20 by construction: no period is shown, and
+    alpha is not pinned by periodicity."""
+    rep = analyze_series(make_series([7, 15, 40, 100], p=2, d=1))
+    assert rep.alpha.method == "rational_pin"
+    assert rep.periodic_tail is None
+    assert rep.tail_classification == "unclassified"
+
+
 def test_analyze_module_vs_ring_fields():
     m, r = canonical_vs_ring()
     rep = analyze_module_vs_ring(m, r, 1)
