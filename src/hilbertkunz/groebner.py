@@ -5,8 +5,9 @@ Everything below works on one uniform representation: a term is a
 order keys, sorted leading-first. Rank 1 recovers the ideal case. There is
 one module order: position over term, so the earlier component is larger
 and the ring's monomial order breaks ties. Keys obey
-key(m*t) == mult_key(m) + key(t) componentwise, which lets reductions derive
-keys by tuple addition instead of recomputing them.
+key(m*t) == key(m) + key(t) componentwise, with the multiplier m keyed in
+component 0, which lets reductions derive keys by tuple addition instead
+of recomputing them.
 
 Divisibility and lcm, the inner operations of the divisor scan, the pair
 update and the count, run on packed exponent vectors (_Packing): one int
@@ -127,40 +128,31 @@ class GroebnerBasis:
 # -- engine ------------------------------------------------------------------
 
 
-class _Keyed:
-    """Position-over-term key builders for one (ring, rank) combination."""
-
-    __slots__ = ("ring", "rank", "base")
-
-    def __init__(self, ring: PolyRing, rank: int):
-        self.ring = ring
-        self.rank = rank
-        self.base = ring.order
-
-    def term_key(self, comp: int, exps: Exponents):
-        return (comp, *self.base.key(exps))
-
-    def mult_key(self, exps: Exponents):
-        return (0, *self.base.key(exps))
+def _term_key(order: MonomialOrder, comp: int, exps: Exponents):
+    """Position-over-term key: the earlier component is larger, and the
+    ring's order breaks ties. The key of a multiplier is its key in
+    component 0."""
+    return (comp, *order.key(exps))
 
 
-def _element_terms(e: FreeElement, keyed: _Keyed):
-    """[(key, comp, exps, coeff), ...] sorted leading-first."""
-    terms = []
-    for j, poly in enumerate(e.components):
-        for exps, c in poly.terms:
-            terms.append((keyed.term_key(j, exps), j, exps, c))
-    terms.sort(key=lambda t: t[0])
-    return terms
+def _element_terms(e: FreeElement):
+    """[(key, comp, exps, coeff), ...] leading-first: the components in
+    order, each leading-first, is position over term."""
+    order = e.ring.order
+    return [
+        (_term_key(order, j, exps), j, exps, c)
+        for j, poly in enumerate(e.components)
+        for exps, c in poly.terms
+    ]
 
 
-def _terms_to_element(terms, keyed: _Keyed) -> FreeElement:
+def _terms_to_element(terms, ring: PolyRing, rank: int) -> FreeElement:
     """The engine's term lists are sorted leading-first with coefficients in
     [1, p), so each component is already in canonical order."""
-    comps: list[list] = [[] for _ in range(keyed.rank)]
+    comps: list[list] = [[] for _ in range(rank)]
     for _, j, exps, c in terms:
         comps[j].append((exps, c))
-    return FreeElement(tuple(Polynomial(keyed.ring, tuple(t)) for t in comps))
+    return FreeElement(tuple(Polynomial(ring, tuple(t)) for t in comps))
 
 
 def _monic_terms(terms, p: int):
@@ -243,67 +235,68 @@ def _check_deadline(deadline: float | None):
 class _Reducer:
     """Shared reduction state: basis elements bucketed by leading component.
 
-    Each lead is held as (component, exponents) and packed under
-    `packing`; a lead that does not fit re-packs every lead at its width.
-    The divisor scan in reduce packs the popped term once and tests each
-    live lead of its component with one subtraction and a mask, so a pop
-    costs from a microsecond to about 0.1 ms (a full scan of 1,125 leads,
-    where the tuple scan took 1.2 ms).
+    Element i is the monic term list elements[i], and its lead is
+    elements[i][0]. Each lead is also packed under `packing`; a lead that
+    does not fit re-packs every lead at its width. The divisor scan in
+    reduce packs the popped term once and tests each live lead of its
+    component with one subtraction and a mask, so a pop costs from a
+    microsecond to about 0.1 ms (a full scan of 1,125 leads, where the
+    tuple scan took 1.2 ms).
+
+    `live[j]` is the one record of component j's live elements, in scan
+    order: single-term elements first, then the others in index order. A
+    single-term lead that divides a term deletes it with nothing left
+    over, so it cannot matter which one the scan finds. They come first
+    because that exit pushes nothing: in plain index order a general lead
+    can be found first and push its tail, which cost about 3% more heap
+    pops over the corpus runs.
 
     A deadline (a time.monotonic() value) makes every reduction stop with
     ResourceLimit once it has passed, checked every 16 heap pops counted
     across reductions, so many short reductions are covered too.
     """
 
-    def __init__(self, keyed: _Keyed, p: int, deadline: float | None, width: int):
-        self.keyed = keyed
-        self.p = p
+    def __init__(self, ring: PolyRing, rank: int, deadline: float | None, width: int):
+        self.ring = ring
+        self.rank = rank
+        self.p = ring.p
+        self.order = ring.order
         self.deadline = deadline
         self.steps = 0
-        self.packing = _packing(keyed.ring.nvars, width)
+        self.packing = _packing(ring.nvars, width)
         self.elements: list[list] = []  # term lists, monic
-        self.lead: list[tuple[int, Exponents]] = []
         self.packed: list[int] = []  # lead exponents under self.packing
-        # per component, the live elements the divisor scan visits, in
-        # index order: single-term elements, then general ones; kill
-        # removes one
-        self.mono_by_comp: list[list[int]] = [[] for _ in range(keyed.rank)]
-        self.gen_by_comp: list[list[int]] = [[] for _ in range(keyed.rank)]
+        self.live: list[list[int]] = [[] for _ in range(rank)]
 
     def add(self, terms) -> int:
         idx = len(self.elements)
         terms = _monic_terms(terms, self.p)
         self.elements.append(terms)
         _, j, exps, _ = terms[0]
-        self.lead.append((j, exps))
         if not self.packing.fits(exps):
             self.packing = _packing(len(exps), _width([exps]))
-            self.packed = [self.packing.pack(e) for _, e in self.lead[:-1]]
+            self.packed = [self.packing.pack(t[0][2]) for t in self.elements[:-1]]
         self.packed.append(self.packing.pack(exps))
         if len(terms) == 1:
-            self.mono_by_comp[j].append(idx)
+            self.live[j].insert(0, idx)
         else:
-            self.gen_by_comp[j].append(idx)
+            self.live[j].append(idx)
         return idx
 
     def kill(self, idx: int):
-        j = self.lead[idx][0]
-        if len(self.elements[idx]) == 1:
-            self.mono_by_comp[j].remove(idx)
-        else:
-            self.gen_by_comp[j].remove(idx)
+        self.live[self.elements[idx][0][1]].remove(idx)
 
     def reduce(self, work: dict, heap: list):
         """Full normal form of the work dict; returns canonical term list."""
         p = self.p
-        keyed = self.keyed
+        order = self.order
         elements = self.elements
         # no element is added or killed during a reduction, so the packing
         # and the scan lists hold for all of it
         pack_query = self.packing.pack_clamped
         G = self.packing.guards
         packed = self.packed
-        mono_by_comp, gen_by_comp = self.mono_by_comp, self.gen_by_comp
+        live = self.live
         out = []
         pop = heapq.heappop
         push = heapq.heappush
@@ -317,26 +310,21 @@ class _Reducer:
             c = work.get((comp, exps))
             if not c:
                 continue
-            # the divisor scan: single-term leads first, then the others
             q = pack_query(exps) | G
-            for ridx in mono_by_comp[comp]:
+            for ridx in live[comp]:
                 if (q - packed[ridx]) & G == G:
                     break
             else:
-                for ridx in gen_by_comp[comp]:
-                    if (q - packed[ridx]) & G == G:
-                        break
-                else:
-                    out.append((key, comp, exps, c))
-                    del work[(comp, exps)]
-                    continue
+                out.append((key, comp, exps, c))
+                del work[(comp, exps)]
+                continue
             rterms = elements[ridx]
             _, _, rexps, _ = rterms[0]
             shift = tuple(map(sub, exps, rexps))
             del work[(comp, exps)]
             if len(rterms) == 1:
                 continue
-            mkey = keyed.mult_key(shift)
+            mkey = _term_key(order, 0, shift)
             for tkey, tj, texps, tc in rterms[1:]:
                 target = (tj, tuple(map(add, texps, shift)))
                 prev = work.get(target)
@@ -369,7 +357,7 @@ class _Reducer:
         ti, tj = self.elements[i], self.elements[j]
         si = tuple(map(sub, lcm, ti[0][2]))
         sj = tuple(map(sub, lcm, tj[0][2]))
-        keyed = self.keyed
+        order = self.order
         p = self.p
         work: dict = {}
         for _, tc_, texps, tcoef in ti[1:]:
@@ -383,7 +371,7 @@ class _Reducer:
         for t in dead:
             del work[t]
         for (jc, exps) in work:
-            heap.append((keyed.term_key(jc, exps), jc, exps))
+            heap.append((_term_key(order, jc, exps), jc, exps))
         heapq.heapify(heap)
         return work, heap
 
@@ -506,11 +494,11 @@ class _PairUpdate:
 
     def __init__(self, red: _Reducer):
         self.red = red
-        self.ideal = red.keyed.rank == 1
+        self.ideal = red.rank == 1
         self.packing = red.packing
         # each component's slots, made on its first lead
-        self.leads: list = [None] * red.keyed.rank
-        self.pairs: list = [None] * red.keyed.rank
+        self.leads: list = [None] * red.rank
+        self.pairs: list = [None] * red.rank
         self.heap: list = []
 
     def pop(self) -> tuple[int, int, Exponents] | None:
@@ -548,7 +536,7 @@ class _PairUpdate:
         if red.packing is not self.packing:
             self._repack()
         S, at, w, G = self.packing.slot, self.packing.at, self.packing.w, self.packing.guards
-        comp = red.lead[h][0]
+        comp = red.elements[h][0][1]
         packed = red.packed
         ph = packed[h]
         at_h = ph << at
@@ -595,19 +583,18 @@ class _PairUpdate:
                 red.kill(leads.owners[s])
                 leads.drop(s)
         leads.put(at_h, h)
-        term_key = red.keyed.term_key
         for g, entry in new:
             lcm = self.packing.unpack(entry >> at)
             pair = (g, h, lcm)
             s = pairs.put(entry, pair)
-            heapq.heappush(self.heap, (sum(lcm), term_key(comp, lcm), g, h, s, pair))
+            heapq.heappush(self.heap, (sum(lcm), _term_key(red.order, comp, lcm), g, h, s, pair))
 
 
 def _reduced_from_engine(red: _Reducer) -> list:
     """Tail-reduce the live elements. No live lead divides another, so they
     already form a minimal basis, and a lead divides none of the smaller
     terms its reduction meets: only the tails need reducing."""
-    live = chain.from_iterable(red.mono_by_comp + red.gen_by_comp)
+    live = chain.from_iterable(red.live)
     return [
         [terms[0], *red.normal_form_terms(terms[1:])]
         for terms in map(red.elements.__getitem__, live)
@@ -621,10 +608,12 @@ def _as_elements(generators, rank: int | None):
             g = FreeElement((g,))
         elems.append(g)
     if elems:
-        r = elems[0].rank
+        r, ring = elems[0].rank, elems[0].ring
         for e in elems:
             if e.rank != r:
                 raise RankMismatch("generators of mixed rank")
+            if e.ring != ring:
+                raise RingMismatch("generators over different rings")
         if rank is not None and rank != r:
             raise RankMismatch("declared rank does not match generators")
         rank = r
@@ -642,10 +631,9 @@ def _engine(generators, rank, deadline, order=None) -> _Reducer:
     ring = elems[0].ring
     if order is not None and order != ring.order:
         raise OrderMismatch("order differs from the ring order")
-    keyed = _Keyed(ring, rank)
-    inputs = [_element_terms(e, keyed) for e in elems if not e.is_zero()]
+    inputs = [_element_terms(e) for e in elems if not e.is_zero()]
     width = _width(exps for terms in inputs for _, _, exps, _ in terms)
-    red = _Reducer(keyed, ring.p, deadline, width)
+    red = _Reducer(ring, rank, deadline, width)
     update = _PairUpdate(red)
 
     def add_element(terms):
@@ -680,9 +668,8 @@ def buchberger(
     red = _engine(generators, rank, deadline, order)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
-    keyed = red.keyed
-    elements = tuple(_terms_to_element(t, keyed) for t in final)
-    return GroebnerBasis(elements, keyed.rank, keyed.ring)
+    elements = tuple(_terms_to_element(t, red.ring, red.rank) for t in final)
+    return GroebnerBasis(elements, red.rank, red.ring)
 
 
 def _live_leads(generators, rank: int, deadline: float | None = None) -> list[list[Exponents]]:
@@ -690,17 +677,13 @@ def _live_leads(generators, rank: int, deadline: float | None = None) -> list[li
     lead divides another, so they are the leads of the reduced basis, and
     the count needs nothing else."""
     red = _engine(generators, rank, deadline)
-    return [
-        [red.lead[g][1] for g in chain(mono, gen)]
-        for mono, gen in zip(red.mono_by_comp, red.gen_by_comp)
-    ]
+    return [[red.elements[g][0][2] for g in live] for live in red.live]
 
 
 def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
-    keyed = _Keyed(G.ring, G.rank)
-    elements = [_element_terms(e, keyed) for e in G.elements]
+    elements = [_element_terms(e) for e in G.elements]
     # sized from the leads: queries wider than them are clamped, not re-packed
-    red = _Reducer(keyed, G.ring.p, deadline, _width(t[0][2] for t in elements))
+    red = _Reducer(G.ring, G.rank, deadline, _width(t[0][2] for t in elements))
     for terms in elements:
         red.add(terms)
     return red
@@ -719,8 +702,8 @@ def normal_forms(G: GroebnerBasis, deadline: float | None = None):
             raise RankMismatch(f"rank {f.rank} vs basis rank {G.rank}")
         if f.ring != G.ring:
             raise RingMismatch("element and basis over different rings")
-        out = red.normal_form_terms(_element_terms(f, red.keyed))
-        result = _terms_to_element(out, red.keyed)
+        out = red.normal_form_terms(_element_terms(f))
+        result = _terms_to_element(out, G.ring, G.rank)
         return result.components[0] if wrap else result
 
     return nf
@@ -734,12 +717,13 @@ def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
 def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
     """Test hook: verify the defining property of a Groebner basis."""
     red = _loaded_reducer(G)
-    n = len(G.elements)
+    leads = [terms[0] for terms in red.elements]
+    n = len(leads)
     for i in range(n):
         for j in range(i + 1, n):
-            if red.lead[i][0] != red.lead[j][0]:
+            if leads[i][1] != leads[j][1]:
                 continue
-            lcm = monomial_lcm(red.lead[i][1], red.lead[j][1])
+            lcm = monomial_lcm(leads[i][2], leads[j][2])
             if red.reduce(*red.spoly_terms(i, j, lcm)):
                 return False
     return True

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from hilbertkunz import groebner
 from hilbertkunz.analysis import sample_hk
-from hilbertkunz.errors import HilbertKunzError, NotZeroDimensional, ResourceLimit
+from hilbertkunz.errors import (
+    HilbertKunzError,
+    NotZeroDimensional,
+    ResourceLimit,
+    RingMismatch,
+)
 from hilbertkunz.groebner import (
     FreeElement,
     buchberger,
@@ -311,6 +316,14 @@ def test_unit_vector_helper():
     assert e1.components[1].is_zero()
     scaled = unit_vector(S, 2, 1, S.variable(0))
     assert scaled.components[1] == S.variable(0)
+
+
+def test_generators_over_different_rings_rejected():
+    F2, F3, lex2 = ring("x y", 2), ring("x y", 3), ring("x y", 2, "lex")
+    with pytest.raises(RingMismatch, match="generators over different rings"):
+        buchberger(polys(F2, "x^2") + polys(F3, "y^3 + x"))
+    with pytest.raises(RingMismatch, match="generators over different rings"):
+        buchberger(polys(F2, "x^2 + y^3") + polys(lex2, "y^3 + x"))
 
 
 def test_order_mismatch_rejected():

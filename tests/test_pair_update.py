@@ -113,21 +113,21 @@ def test_batched_update_keeps_the_pairs_of_the_per_pair_loop(case):
     never one criterion B dropped; and the same live elements. Like the
     engine, a lead that a live lead divides is never added."""
     rank, nvars, width, ops = case
-    keyed = groebner._Keyed(ring("a b c d"[: 2 * nvars - 1], 2), rank)
-    red = groebner._Reducer(keyed, 2, None, width)
+    R = ring("a b c d"[: 2 * nvars - 1], 2)
+    red = groebner._Reducer(R, rank, None, width)
     update = groebner._PairUpdate(red)
     ref = ReferenceUpdate(rank)
 
     def engine_key(gh):
         g, h = gh
         lcm = ref.pairs[gh]
-        return sum(lcm), keyed.term_key(ref.lead[h][0], lcm), g, h
+        return sum(lcm), groebner._term_key(R.order, ref.lead[h][0], lcm), g, h
 
     for kind, comp, exps in ops:
         if kind == "add":
             if any(monomial_divides(ref.lead[g][1], exps) for g in ref.live[comp]):
                 continue
-            update.add(red.add([(keyed.term_key(comp, exps), comp, exps, 1)]))
+            update.add(red.add([(groebner._term_key(R.order, comp, exps), comp, exps, 1)]))
             ref.add(comp, exps)
         elif ref.pairs:
             least = min(ref.pairs, key=engine_key)
@@ -141,5 +141,4 @@ def test_batched_update_keeps_the_pairs_of_the_per_pair_loop(case):
         }
         assert owned == ref.pairs
         for comp in range(rank):
-            live = red.mono_by_comp[comp] + red.gen_by_comp[comp]
-            assert sorted(live) == sorted(ref.live[comp])
+            assert sorted(red.live[comp]) == sorted(ref.live[comp])
