@@ -542,8 +542,8 @@ def additive_error(
 ) -> AdditiveErrorReport:
     """e_n = phi_n(M/N) - phi_n(M) + phi_n(N) for 0 -> N -> M -> M/N -> 0.
 
-    N is presented through syzygies, M/N by appending generators to the
-    ambient relations. The bound check is |e_n| <= C q^{d-1}.
+    N is presented as S^s modulo the kernel of S^s -> M, M/N by appending
+    the generators to the ambient relations. The bound check is |e_n| <= C q^{d-1}.
     """
     ambient = seq.ambient
     rs = ambient.ringspec

@@ -46,12 +46,10 @@ from .analysis import (
     sample_hk,
 )
 from .errors import HilbertKunzError, SemanticError
-from .groebner import FreeElement
 # ORACLE_EXTRA_DEGREES is re-exported for callers that bound their own walk
 from .oracle import ORACLE_EXTRA_DEGREES, stable_length  # noqa: F401
-from .poly import parse_polynomial
 from .presentations import (
-    RingSpec,
+    _cover_elements,
     free_module,
     frobenius_relations,
     ideal_spec,
@@ -163,24 +161,13 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
     return out
 
 
-def _row_element(row, rs: RingSpec, width: int) -> FreeElement:
-    comps = tuple(parse_polynomial(s, rs.ring) for s in row)
-    if len(comps) != width:
-        raise SemanticError(
-            f"row has {len(comps)} entries, expected {width}"
-        )
-    return FreeElement(comps)
-
-
 def _build(pf: ProblemFile, order: str):
     """Ring, ideal, and module of a problem file, in the requested order."""
     rs = ring_spec(" ".join(pf.variables), pf.p, pf.ring_relations, order)
     ideal = ideal_spec(rs, pf.ideal)
     if pf.module is not None:
-        cover = pf.module_rank if pf.module_rank is not None else 1
-        ambient = free_module(rs, cover)
-        gens = [_row_element(row, rs, cover) for row in pf.module]
-        module = present_submodule(ambient, gens, declared_generic_rank=pf.rank)
+        ambient = free_module(rs, pf.module_rank or 1)
+        module = present_submodule(ambient, pf.module, declared_generic_rank=pf.rank)
     else:
         module = free_module(rs, 1)
     return rs, ideal, module
@@ -254,9 +241,7 @@ def run_problem(
                     "additive-error needs submodule generators (key: sequence)"
                 )
             rs, ideal, module = _build(pf, order)
-            gens = [
-                _row_element(row, rs, module.rank) for row in pf.sequence
-            ]
+            gens = _cover_elements(rs.ring, module.rank, pf.sequence)
             seq = ExactSequenceSpec(module, tuple(gens))
             rep = additive_error(
                 seq, ideal, pf.n_min, pf.n_max,

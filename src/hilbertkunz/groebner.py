@@ -730,31 +730,36 @@ def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
 
 
 def syzygies(generators) -> list[FreeElement]:
-    """Generators of the relation module among the given elements.
+    """Generators of the relation module among the given elements: the
+    kernel of S^s -> S^rank, e_i -> g_i."""
+    return _kernel(generators, ())
 
-    Tags each generator g_i with a marker component e_i, computes a basis
-    under position over term (which eliminates the original components,
-    since they come first), and keeps the elements whose original
-    components all vanish.
+
+def _kernel(generators, relations) -> list[FreeElement]:
+    """Generators of the kernel of S^s -> S^rank / (relations), e_i -> g_i.
+
+    Tags each generator g_i with a marker component e_i and adds each
+    relation untagged. A basis under position over term eliminates the
+    original components, since they come first, so its elements whose
+    original components all vanish generate the kernel, read in the
+    marker components.
     """
-    elems, rank = _as_elements(generators, None)
-    if not elems:
+    gens, rank = _as_elements(generators, None)
+    if not gens:
         return []
-    ring = elems[0].ring
-    k = len(elems)
-    big_rank = rank + k
-    zero = ring.zero()
-    tagged = []
-    for i, e in enumerate(elems):
-        comps = list(e.components) + [zero] * k
-        comps[rank + i] = ring.one()
-        tagged.append(FreeElement(comps))
-    G = buchberger(tagged, rank=big_rank)
-    out = []
-    for e in G.elements:
-        if all(c.is_zero() for c in e.components[:rank]):
-            out.append(FreeElement(e.components[rank:]))
-    return out
+    ring = gens[0].ring
+    s = len(gens)
+    tagged = [
+        FreeElement(g.components + unit_vector(ring, s, i).components)
+        for i, g in enumerate(gens)
+    ]
+    tagged += [FreeElement(r.components + (ring.zero(),) * s) for r in relations]
+    G = buchberger(tagged, rank=rank + s)
+    return [
+        FreeElement(e.components[rank:])
+        for e in G.elements
+        if all(c.is_zero() for c in e.components[:rank])
+    ]
 
 
 # -- staircase combinatorics --------------------------------------------------

@@ -22,11 +22,11 @@ from .groebner import (
     GroebnerBasis,
     _check_deadline,
     _count_leads,
+    _kernel,
     _live_leads,
     buchberger,
     krull_dimension,
     normal_forms,
-    syzygies,
     unit_vector,
 )
 from .poly import (
@@ -173,28 +173,19 @@ def free_module(rs: RingSpec, rank: int = 1) -> ModulePresentation:
 
 def cyclic_module(rs: RingSpec, generators) -> ModulePresentation:
     """R/(generators) as an R-module."""
-    S = rs.ring
-    rels = tuple(FreeElement((_as_poly(g, S),)) for g in generators)
-    return ModulePresentation(rs, 1, rels)
+    return ModulePresentation(rs, 1, tuple(_cover_elements(rs.ring, 1, generators)))
 
 
 def module_presentation(
     rs: RingSpec, rank: int, relations, declared_generic_rank: int | None = None
 ) -> ModulePresentation:
-    S = rs.ring
-    rels = []
-    for r in relations:
-        if isinstance(r, FreeElement):
-            rels.append(r)
-        else:
-            rels.append(FreeElement(tuple(_as_poly(c, S) for c in r)))
+    rels = _cover_elements(rs.ring, rank, relations)
     return ModulePresentation(rs, rank, tuple(rels), declared_generic_rank)
 
 
-def _cover_elements(module: ModulePresentation, generators) -> list[FreeElement]:
+def _cover_elements(S: PolyRing, rank: int, generators) -> list[FreeElement]:
     """Coerce strings, polynomials, or component sequences to elements of
-    the module's free cover."""
-    S = module.ringspec.ring
+    the free module S^rank."""
     gens: list[FreeElement] = []
     for g in generators:
         if isinstance(g, FreeElement):
@@ -203,10 +194,9 @@ def _cover_elements(module: ModulePresentation, generators) -> list[FreeElement]
             g = FreeElement((_as_poly(g, S),))
         else:
             g = FreeElement(tuple(_as_poly(c, S) for c in g))
-        if g.rank != module.rank:
+        if g.rank != rank:
             raise RankMismatch(
-                f"generator rank {g.rank} does not match the cover rank "
-                f"{module.rank}"
+                f"generator rank {g.rank} does not match the cover rank {rank}"
             )
         if g.ring != S:
             raise RingMismatch("generator from a different ring")
@@ -219,29 +209,20 @@ def present_submodule(
     generators,
     declared_generic_rank: int | None = None,
 ) -> ModulePresentation:
-    """Presentation of the submodule of M spanned by the given elements.
-
-    The kernel of S^s -> M, e_i -> g_i, is the projection to the first s
-    coordinates of the syzygies of (g_1..g_s, relations of M).
-    """
-    gens = _cover_elements(module, generators)
-    s = len(gens)
-    if s == 0:
+    """Presentation of the submodule of M spanned by the given elements:
+    S^s modulo the kernel of S^s -> M, e_i -> g_i."""
+    gens = _cover_elements(module.ringspec.ring, module.rank, generators)
+    if not gens:
         raise RankMismatch("a submodule needs at least one generator")
-    combined = gens + list(module.relations)
-    rels = []
-    for sy in syzygies(combined):
-        head = sy.components[:s]
-        if any(not c.is_zero() for c in head):
-            rels.append(FreeElement(head))
+    rels = _kernel(gens, module.relations)
     return ModulePresentation(
-        module.ringspec, s, tuple(rels), declared_generic_rank
+        module.ringspec, len(gens), tuple(rels), declared_generic_rank
     )
 
 
 def quotient_presentation(module: ModulePresentation, generators) -> ModulePresentation:
     """M / (submodule spanned by the given elements of S^rank)."""
-    extra = _cover_elements(module, generators)
+    extra = _cover_elements(module.ringspec.ring, module.rank, generators)
     return ModulePresentation(
         module.ringspec, module.rank, module.relations + tuple(extra)
     )
