@@ -55,20 +55,30 @@ class ReferenceUpdate:
 @st.composite
 def update_runs(draw):
     """Ranks 1-2, 1-4 variables, small exponents (many equal lcms, coprime
-    pairs and kills), a start width that the exponents may outgrow or, at
-    40 bits, one that puts two or more variables in two-word slots whose
-    top words often tie, and up to 60 steps, two in three an add and the
-    rest a pop."""
+    pairs and kills), a start width that the exponents may outgrow (1 in
+    half the draws) or, at 40 bits, one that puts two or more variables in
+    two-word slots whose top words often tie, and up to 60 steps.
+
+    The first 2-20 steps add squarefree leads other than 1, which fit
+    every start width, so pairs are queued before any re-pack. The other
+    5-40 steps, two in three an add and the rest a pop, allow exponents up
+    to `top`, so a lead can outgrow the width while pairs are queued.
+    There an exponent is 0 half the time, since a re-packing lead that a
+    stale-width lcm would fool in criterion B has few variables."""
     rank = draw(st.integers(1, 2))
     nvars = draw(st.integers(1, 4))
-    width = draw(st.sampled_from([1, 2, 40]))
+    width = draw(st.sampled_from([1, 1, 2, 40]))
     top = draw(st.sampled_from([2, 3, 5]))
-    op = st.tuples(
-        st.sampled_from(["add", "add", "pop"]),
-        st.integers(0, rank - 1),
-        st.tuples(*[st.integers(0, top)] * nvars),
+
+    comp = st.integers(0, rank - 1)
+    squarefree = st.integers(1, (1 << nvars) - 1).map(
+        lambda m: tuple(m >> i & 1 for i in range(nvars))
     )
-    return rank, nvars, width, draw(st.lists(op, max_size=60))
+    exps = st.tuples(*[st.sampled_from((0,) * top + tuple(range(1, top + 1)))] * nvars)
+    first = st.tuples(st.just("add"), comp, squarefree)
+    later = st.tuples(st.sampled_from(["add", "add", "pop"]), comp, exps)
+    ops = draw(st.lists(first, min_size=2, max_size=20))
+    return rank, nvars, width, ops + draw(st.lists(later, min_size=5, max_size=40))
 
 
 # xz (g1) and yz (g2) tie on their lcm with xy; g2 took the slot g0 left,
