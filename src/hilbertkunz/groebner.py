@@ -259,8 +259,6 @@ class _Reducer:
     def __init__(self, ring: PolyRing, rank: int, deadline: float | None, width: int):
         self.ring = ring
         self.rank = rank
-        self.p = ring.p
-        self.order = ring.order
         self.deadline = deadline
         self.steps = 0
         self.packing = _packing(ring.nvars, width)
@@ -270,7 +268,7 @@ class _Reducer:
 
     def add(self, terms) -> int:
         idx = len(self.elements)
-        terms = _monic_terms(terms, self.p)
+        terms = _monic_terms(terms, self.ring.p)
         self.elements.append(terms)
         _, j, exps, _ = terms[0]
         if not self.packing.fits(exps):
@@ -288,8 +286,7 @@ class _Reducer:
 
     def reduce(self, work: dict, heap: list):
         """Full normal form of the work dict; returns canonical term list."""
-        p = self.p
-        order = self.order
+        p, order = self.ring.p, self.ring.order
         elements = self.elements
         # no element is added or killed during a reduction, so the packing
         # and the scan lists hold for all of it
@@ -357,8 +354,7 @@ class _Reducer:
         ti, tj = self.elements[i], self.elements[j]
         si = tuple(map(sub, lcm, ti[0][2]))
         sj = tuple(map(sub, lcm, tj[0][2]))
-        order = self.order
-        p = self.p
+        p, order = self.ring.p, self.ring.order
         work: dict = {}
         for _, tc_, texps, tcoef in ti[1:]:
             target = (tc_, tuple(map(add, texps, si)))
@@ -587,7 +583,7 @@ class _PairUpdate:
             lcm = self.packing.unpack(entry >> at)
             pair = (g, h, lcm)
             s = pairs.put(entry, pair)
-            heapq.heappush(self.heap, (sum(lcm), _term_key(red.order, comp, lcm), g, h, s, pair))
+            heapq.heappush(self.heap, (sum(lcm), _term_key(red.ring.order, comp, lcm), g, h, s, pair))
 
 
 def _reduced_from_engine(red: _Reducer) -> list:
