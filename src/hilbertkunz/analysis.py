@@ -15,14 +15,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InsufficientSamples, ResourceLimit, SampleMismatch
-from .groebner import FreeElement
 from .presentations import (
     IdealSpec,
     ModulePresentation,
     RingSpec,
     length_mod_frobenius,
-    present_submodule,
-    quotient_presentation,
 )
 
 PERIOD_MAX = 6
@@ -62,22 +59,6 @@ class HKSeries:
 
     def qs(self) -> list[int]:
         return [s.q for s in self.samples]
-
-
-@dataclass(frozen=True)
-class ExactSequenceSpec:
-    """Data of 0 -> N -> M -> M/N -> 0: an ambient module and generators
-    of the submodule N inside its free cover."""
-
-    ambient: ModulePresentation
-    generators: tuple[FreeElement, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
-            if g.rank != self.ambient.rank:
-                raise SampleMismatch(
-                    "submodule generators must live in the ambient free cover"
-                )
 
 
 @dataclass(frozen=True)
@@ -154,7 +135,6 @@ class AdditiveErrorRow:
 class AdditiveErrorReport:
     rows: tuple[AdditiveErrorRow, ...]
     bound: BoundCheck  # |e_n| <= C q^{d-1}
-    series: tuple = ()  # (sub, ambient, quotient) HKSeries triple
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,6 @@ class AsymptoticReport:
 
 
 def sample_hk(
-    ringspec: RingSpec,
     ideal: IdealSpec,
     modules: tuple,
     n_min: int,
@@ -184,7 +163,9 @@ def sample_hk(
     max_seconds: float | None = None,
 ) -> tuple[HKSeries, ...]:
     """Sample the length functions of a tuple of ModulePresentations for
-    n_min..n_max, one n after another, every module at each n.
+    n_min..n_max, one n after another, every module at each n. The ring
+    (its p and dimension) is the ideal's; a module over another ring
+    raises RingMismatch.
 
     Each sample has its own budget. A resource limit (such as the
     per-sample time budget) stops every series together at the first n
@@ -194,6 +175,7 @@ def sample_hk(
     """
     if n_min > n_max:
         raise SampleMismatch("empty sample range")
+    ringspec = ideal.ringspec
     notes = []
     d = ringspec.dimension()
     if dim is not None and dim != d:
@@ -475,14 +457,20 @@ def estimate_beta(series: HKSeries, alpha: Fraction) -> SecondCoefficient:
     )
 
 
+def _check_aligned(first: HKSeries, *others: HKSeries) -> None:
+    """SampleMismatch unless the series share a ring, an ideal and n's."""
+    for ser in others:
+        if ser.ringspec != first.ringspec:
+            raise SampleMismatch("series live over different rings")
+        if ser.ideal != first.ideal:
+            raise SampleMismatch("series use different ideals")
+        if [s.n for s in ser.samples] != [s.n for s in first.samples]:
+            raise SampleMismatch("series cover different n ranges")
+
+
 def delta_sequence(series_m: HKSeries, series_r: HKSeries, r: int) -> list[int]:
     """delta_n = phi_n(M) - r*phi_n(R), exact integers."""
-    if series_m.ringspec != series_r.ringspec:
-        raise SampleMismatch("series live over different rings")
-    if series_m.ideal != series_r.ideal:
-        raise SampleMismatch("series use different ideals")
-    if [s.n for s in series_m.samples] != [s.n for s in series_r.samples]:
-        raise SampleMismatch("series cover different n ranges")
+    _check_aligned(series_m, series_r)
     return [
         a.length - r * b.length
         for a, b in zip(series_m.samples, series_r.samples)
@@ -533,37 +521,24 @@ def estimate_tau(deltas, p: int, d: int, n_start: int = 1) -> SecondCoefficient:
 
 
 def additive_error(
-    seq: ExactSequenceSpec,
-    ideal: IdealSpec,
-    n_min: int,
-    n_max: int,
-    dim: int | None = None,
-    max_seconds: float | None = None,
+    sub: HKSeries, ambient: HKSeries, quotient: HKSeries
 ) -> AdditiveErrorReport:
-    """e_n = phi_n(M/N) - phi_n(M) + phi_n(N) for 0 -> N -> M -> M/N -> 0.
-
-    N is presented as S^s modulo the kernel of S^s -> M, M/N by appending
-    the generators to the ambient relations. The bound check is |e_n| <= C q^{d-1}.
-    """
-    ambient = seq.ambient
-    rs = ambient.ringspec
-    sub = present_submodule(ambient, list(seq.generators))
-    quot = quotient_presentation(ambient, list(seq.generators))
-    series = sample_hk(
-        rs, ideal, (sub, ambient, quot), n_min, n_max, dim, max_seconds
-    )
+    """e_n = phi_n(M/N) - phi_n(M) + phi_n(N) for 0 -> N -> M -> M/N -> 0,
+    from the series of N, M and M/N (see present_submodule and
+    quotient_presentation). The bound check is |e_n| <= C q^{d-1}."""
+    _check_aligned(ambient, sub, quotient)
     rows = tuple(
         AdditiveErrorRow(
             b.n, b.q, a.length, b.length, c.length,
             c.length - b.length + a.length,
         )
-        for a, b, c in zip(*(ser.samples for ser in series))
+        for a, b, c in zip(sub.samples, ambient.samples, quotient.samples)
     )
     bound = bounded_by_power(
-        [r.error for r in rows], [r.q for r in rows], series[1].d - 1,
+        [r.error for r in rows], [r.q for r in rows], ambient.d - 1,
         [r.n for r in rows],
     )
-    return AdditiveErrorReport(rows, bound, series)
+    return AdditiveErrorReport(rows, bound)
 
 
 # -- the combined report -------------------------------------------------------
@@ -621,7 +596,7 @@ def analyze_module_vs_ring(
     n_start = series_m.samples[0].n
     tau = estimate_tau(deltas, p, d, n_start)
     recursion = check_delta_recursion(deltas, p, d, n_start)
-    alpha_r = estimate_alpha(series_r)
+    alpha_r = analyze_series(series_r).alpha
     expected = r * alpha_r.extrapolated
     got = base.alpha.extrapolated
     if expected != 0 and abs(got - expected) > abs(expected) / 100:

@@ -37,7 +37,6 @@ from . import __version__
 from .analysis import (
     AsymptoticReport,
     BoundCheck,
-    ExactSequenceSpec,
     HKSeries,
     SecondCoefficient,
     additive_error,
@@ -49,12 +48,12 @@ from .errors import HilbertKunzError, SemanticError
 # ORACLE_EXTRA_DEGREES is re-exported for callers that bound their own walk
 from .oracle import ORACLE_EXTRA_DEGREES, stable_length  # noqa: F401
 from .presentations import (
-    _cover_elements,
     free_module,
     frobenius_relations,
     ideal_spec,
     length_mod_frobenius,
     present_submodule,
+    quotient_presentation,
     ring_spec,
 )
 from .problemfile import ProblemFile, parse_problem
@@ -87,13 +86,6 @@ def _problem_echo(pf: ProblemFile) -> dict:
             None if pf.sequence is None else [list(r) for r in pf.sequence]
         ),
     }
-
-
-def _sample_rows(series: HKSeries) -> list[dict]:
-    return [
-        {"n": s.n, "q": str(s.q), "length": str(s.length)}
-        for s in series.samples
-    ]
 
 
 def _merge_per_n(per_n: dict, series: HKSeries) -> None:
@@ -202,69 +194,67 @@ def run_problem(
     per_n: dict[str, float] = {}
     warnings: list[str] = []
     try:
-        if subcommand in ("compute", "fit"):
-            rs, ideal, module = _build(pf, order)
-            (series,) = sample_hk(
-                rs, ideal, (module,), pf.n_min, pf.n_max,
-                dim=pf.dim, max_seconds=n_max_seconds,
-            )
-            report["samples"] = _sample_rows(series)
-            _merge_per_n(per_n, series)
-            warnings.extend(series.notes)
-            if subcommand == "fit":
-                rep = analyze_series(series)
-                report["analysis"] = _analysis_dict(rep)
-                warnings.extend(rep.warnings)
-        elif subcommand == "tau":
-            if pf.module is None or pf.rank is None:
+        if subcommand in ("compute", "fit", "tau", "additive-error"):
+            if subcommand == "tau" and (pf.module is None or pf.rank is None):
                 raise SemanticError(
                     "tau needs both a module and its generic rank "
                     "(keys: module, rank)"
                 )
-            rs, ideal, module = _build(pf, order)
-            series_m, series_r = sample_hk(
-                rs, ideal, (module, free_module(rs, 1)), pf.n_min, pf.n_max,
-                dim=pf.dim, max_seconds=n_max_seconds,
-            )
-            report["samples"] = _sample_rows(series_m)
-            _merge_per_n(per_n, series_m)
-            _merge_per_n(per_n, series_r)
-            warnings.extend(series_m.notes)
-            rep = analyze_module_vs_ring(series_m, series_r, pf.rank)
-            analysis = _analysis_dict(rep)
-            analysis["ring_lengths"] = [str(s.length) for s in series_r.samples]
-            report["analysis"] = analysis
-            warnings.extend(rep.warnings)
-        elif subcommand == "additive-error":
-            if pf.sequence is None:
+            if subcommand == "additive-error" and pf.sequence is None:
                 raise SemanticError(
                     "additive-error needs submodule generators (key: sequence)"
                 )
             rs, ideal, module = _build(pf, order)
-            gens = _cover_elements(rs.ring, module.rank, pf.sequence)
-            seq = ExactSequenceSpec(module, tuple(gens))
-            rep = additive_error(
-                seq, ideal, pf.n_min, pf.n_max,
+            if subcommand == "tau":
+                modules = (module, free_module(rs, 1))
+            elif subcommand == "additive-error":
+                modules = (
+                    present_submodule(module, pf.sequence),
+                    module,
+                    quotient_presentation(module, pf.sequence),
+                )
+            else:
+                modules = (module,)
+            series = sample_hk(
+                ideal, modules, pf.n_min, pf.n_max,
                 dim=pf.dim, max_seconds=n_max_seconds,
             )
-            report["samples"] = _sample_rows(rep.series[1])
-            for ser in rep.series:
+            shown = series[1] if subcommand == "additive-error" else series[0]
+            report["samples"] = [
+                {"n": s.n, "q": str(s.q), "length": str(s.length)}
+                for s in shown.samples
+            ]
+            for ser in series:
                 _merge_per_n(per_n, ser)
-            warnings.extend(rep.series[1].notes)
-            report["analysis"] = {
-                "rows": [
-                    {
-                        "n": r.n,
-                        "q": str(r.q),
-                        "length_sub": str(r.length_sub),
-                        "length_ambient": str(r.length_ambient),
-                        "length_quotient": str(r.length_quotient),
-                        "error": str(r.error),
-                    }
-                    for r in rep.rows
-                ],
-                "bound": _bound_dict(rep.bound),
-            }
+            # the series of one sample_hk call share their notes
+            warnings.extend(shown.notes)
+            if subcommand == "fit":
+                rep = analyze_series(*series)
+                report["analysis"] = _analysis_dict(rep)
+                warnings.extend(rep.warnings)
+            elif subcommand == "tau":
+                rep = analyze_module_vs_ring(*series, pf.rank)
+                report["analysis"] = _analysis_dict(rep)
+                report["analysis"]["ring_lengths"] = [
+                    str(s.length) for s in series[1].samples
+                ]
+                warnings.extend(rep.warnings)
+            elif subcommand == "additive-error":
+                rep = additive_error(*series)
+                report["analysis"] = {
+                    "rows": [
+                        {
+                            "n": r.n,
+                            "q": str(r.q),
+                            "length_sub": str(r.length_sub),
+                            "length_ambient": str(r.length_ambient),
+                            "length_quotient": str(r.length_quotient),
+                            "error": str(r.error),
+                        }
+                        for r in rep.rows
+                    ],
+                    "bound": _bound_dict(rep.bound),
+                }
         elif subcommand == "oracle-check":
             rs, ideal, module = _build(pf, order)
             n = pf.n_min

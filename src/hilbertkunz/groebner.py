@@ -53,7 +53,6 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    monomial_lcm,
 )
 
 MAX_BASIS = 200_000
@@ -708,21 +707,6 @@ def normal_forms(G: GroebnerBasis, deadline: float | None = None):
 def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
     """Remainder of f modulo G; unique for a reduced basis."""
     return normal_forms(G)(f)
-
-
-def spairs_reduce_to_zero(G: GroebnerBasis) -> bool:
-    """Test hook: verify the defining property of a Groebner basis."""
-    red = _loaded_reducer(G)
-    leads = [terms[0] for terms in red.elements]
-    n = len(leads)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leads[i][1] != leads[j][1]:
-                continue
-            lcm = monomial_lcm(leads[i][2], leads[j][2])
-            if red.reduce(*red.spoly_terms(i, j, lcm)):
-                return False
-    return True
 
 
 def syzygies(generators) -> list[FreeElement]:

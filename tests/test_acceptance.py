@@ -114,7 +114,7 @@ def test_delta_recursion_holds_for_declared_rank_modules(corpus_report):
     ideal = hk.maximal_ideal(rs)
     m = hk.free_module(rs, 2)
     series_m, series_r = hk.sample_hk(
-        rs, ideal, (m, hk.free_module(rs, 1)), 1, 4
+        ideal, (m, hk.free_module(rs, 1)), 1, 4
     )
     deltas = hk.delta_sequence(series_m, series_r, 2)
     assert deltas == [0, 0, 0, 0]

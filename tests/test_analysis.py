@@ -37,7 +37,13 @@ from hilbertkunz import (
     sample_hk,
 )
 from hilbertkunz.cli import run_problem
-from hilbertkunz.errors import InsufficientSamples, ResourceLimit, SampleMismatch
+from hilbertkunz.errors import (
+    InsufficientSamples,
+    RankMismatch,
+    ResourceLimit,
+    RingMismatch,
+    SampleMismatch,
+)
 
 F = Fraction
 
@@ -471,6 +477,17 @@ def test_analyze_module_vs_ring_flags_rank_mismatch():
     assert any("generic rank" in w for w in rep.warnings)
 
 
+def test_ring_alpha_follows_the_analysis_rule():
+    """alpha(R) comes from the same rule as alpha(M): the ring series
+    q^2/4 + 4q + 15 has a verified fit with alpha 1/4, where the rational
+    pin alone picks 1/7."""
+    ring_series = make_series([24, 35, 63, 143], p=2, d=2)
+    assert estimate_alpha(ring_series).extrapolated == F(1, 7)
+    rep = analyze_module_vs_ring(ring_series, ring_series, 1)
+    assert rep.alpha.extrapolated == F(1, 4)
+    assert not any("deviates" in w for w in rep.warnings)
+
+
 def test_fit_reuses_the_pinned_periodic_tail(monkeypatch):
     """The periodic pin's tail is the report's tail: a fit of the quintic
     at p = 7 searches for it once, not a second time for the report."""
@@ -556,10 +573,24 @@ def test_analyze_series_equals_the_assembled_pieces(ser):
 def test_sample_hk_lengths_match_engine():
     rs = hk.ring_spec("x y", 3)
     ideal = hk.maximal_ideal(rs)
-    (ser,) = sample_hk(rs, ideal, (hk.free_module(rs, 1),), 1, 3)
+    (ser,) = sample_hk(ideal, (hk.free_module(rs, 1),), 1, 3)
     assert ser.lengths() == [9, 81, 729]
     assert ser.qs() == [3, 9, 27]
     assert all(s.seconds is not None for s in ser.samples)
+
+
+def test_sample_hk_reads_p_and_d_from_the_ideals_ring():
+    rs = hk.ring_spec("x y z", 2)
+    (ser,) = sample_hk(hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
+    assert (ser.p, ser.d) == (2, 3)
+    assert ser.qs() == [2, 4, 8]
+    assert ser.lengths() == [8, 64, 512]
+
+
+def test_sample_hk_rejects_a_module_over_another_ring():
+    f2, f3 = hk.ring_spec("x y z", 2), hk.ring_spec("x y z", 3)
+    with pytest.raises(RingMismatch):
+        sample_hk(hk.maximal_ideal(f2), (hk.free_module(f3, 1),), 1, 3)
 
 
 def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
@@ -577,7 +608,7 @@ def test_sample_hk_truncates_after_a_skipped_sample(monkeypatch):
 
     monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
     rs = hk.ring_spec("x y", 2)
-    (ser,) = sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
+    (ser,) = sample_hk(hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
     assert ser.lengths() == [4]
     assert calls == [1, 2]
     assert any("n=2 skipped" in note for note in ser.notes)
@@ -601,7 +632,7 @@ def test_sample_hk_stops_every_series_at_the_first_limit(monkeypatch):
         return module.rank * 4**n
 
     monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
-    a, b = sample_hk(rs, hk.maximal_ideal(rs), (first, second), 1, 3)
+    a, b = sample_hk(hk.maximal_ideal(rs), (first, second), 1, 3)
     assert a.lengths() == [4]
     assert b.lengths() == [8]
     assert calls == [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -620,7 +651,7 @@ def test_sample_hk_raises_when_no_sample_completes(monkeypatch):
     monkeypatch.setattr(analysis, "length_mod_frobenius", fake_length)
     rs = hk.ring_spec("x y", 2)
     with pytest.raises(ResourceLimit, match="no samples completed"):
-        sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
+        sample_hk(hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 1, 3)
 
 
 def test_analyze_empty_series_raises():
@@ -633,7 +664,7 @@ def test_analyze_empty_series_raises():
 def test_sample_hk_rejects_empty_range():
     rs = hk.ring_spec("x", 2)
     with pytest.raises(SampleMismatch):
-        sample_hk(rs, hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 3, 1)
+        sample_hk(hk.maximal_ideal(rs), (hk.free_module(rs, 1),), 3, 1)
 
 
 # -- additive errors on split sequences ------------------------------------
@@ -643,10 +674,17 @@ def test_split_sequence_has_zero_error():
     rs = hk.ring_spec("x y", 2)
     ideal = hk.maximal_ideal(rs)
     amb = hk.free_module(rs, 2)
-    one = rs.ring.one()
-    zero = rs.ring.zero()
-    spec = hk.ExactSequenceSpec(amb, (hk.FreeElement((one, zero)),))
-    rep = hk.additive_error(spec, ideal, 1, 3)
+    gens = [hk.FreeElement((rs.ring.one(), rs.ring.zero()))]
+    series = sample_hk(
+        ideal,
+        (
+            hk.present_submodule(amb, gens),
+            amb,
+            hk.quotient_presentation(amb, gens),
+        ),
+        1, 3,
+    )
+    rep = hk.additive_error(*series)
     assert [row.error for row in rep.rows] == [0, 0, 0]
     assert [row.length_ambient for row in rep.rows] == [8, 32, 128]
     assert [row.length_sub for row in rep.rows] == [4, 16, 64]
@@ -654,8 +692,21 @@ def test_split_sequence_has_zero_error():
     assert rep.bound.constant == 0
 
 
-def test_exact_sequence_spec_checks_rank():
+def test_sequence_generators_must_match_the_cover_rank():
     rs = hk.ring_spec("x y", 2)
     amb = hk.free_module(rs, 2)
-    with pytest.raises(SampleMismatch):
-        hk.ExactSequenceSpec(amb, (hk.FreeElement((rs.ring.one(),)),))
+    gens = [hk.FreeElement((rs.ring.one(),))]
+    with pytest.raises(RankMismatch):
+        hk.present_submodule(amb, gens)
+    with pytest.raises(RankMismatch):
+        hk.quotient_presentation(amb, gens)
+
+
+def test_additive_error_rejects_misaligned_series():
+    rs = hk.ring_spec("x y", 2)
+    ideal = hk.maximal_ideal(rs)
+    short, long_ = (
+        sample_hk(ideal, (hk.free_module(rs, 1),), 1, n) for n in (2, 3)
+    )
+    with pytest.raises(SampleMismatch, match="different n ranges"):
+        hk.additive_error(short[0], long_[0], long_[0])

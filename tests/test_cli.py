@@ -1,6 +1,7 @@
 """CLI reports: fixture comparison, determinism, formats, and exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -39,6 +40,18 @@ def test_corpus_fixtures_byte_for_byte(stem, subcommand, corpus_report):
     got = json.dumps(report, indent=2) + "\n"
     expected = (CORPUS / f"{stem}.{subcommand}.json").read_text()
     assert got == expected
+
+
+def test_regen_script_names_every_fixture():
+    """scripts/regen_fixtures.py rewrites, and scripts/engine_digest.py
+    hashes, only the runs in its RUNS list: it must name each fixture
+    once and nothing else."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "regen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("regen_fixtures", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    assert sorted(regen.RUNS) == sorted(RUNS)
+    assert regen.CORPUS.resolve() == CORPUS.resolve()
 
 
 def test_report_key_order():
