@@ -4,12 +4,14 @@
     python3 scripts/engine_digest.py
 
 Runs each (stem, subcommand) of regen_fixtures.RUNS with groebner._engine
-wrapped, and hashes each engine run's elements (the monic term lists, in
-the order the run created them). Prints
+and groebner._PairUpdate.pop wrapped, and hashes each engine run's
+elements (the monic term lists, in the order the run created them).
+Prints
 
-    engine runs N, heap pops P, sha256 H
+    engine runs N, heap pops P, pairs Q, sha256 H
 
-where P sums the reducer's heap pops over the runs. Two trees that print
+where P sums the reducer's heap pops over the runs and Q counts the
+S-pairs the pair update handed out. Two trees that print
 the same line took the same engine trajectory, not only the same lengths,
 so a refactor of the engine can be checked with one diff.
 """
@@ -29,8 +31,9 @@ from hilbertkunz.problemfile import parse_problem  # noqa: E402
 
 def main() -> None:
     digest = hashlib.sha256()
-    runs = pops = 0
+    runs = pops = pairs = 0
     engine = groebner._engine
+    pop = groebner._PairUpdate.pop
 
     def traced(*args, **kwargs):
         nonlocal runs, pops
@@ -40,7 +43,14 @@ def main() -> None:
         digest.update(repr(red.elements).encode())
         return red
 
+    def counted(update):
+        nonlocal pairs
+        pair = pop(update)
+        pairs += pair is not None
+        return pair
+
     groebner._engine = traced
+    groebner._PairUpdate.pop = counted
     try:
         for stem, subcommand in RUNS:
             report = run_problem(subcommand, parse_problem((CORPUS / f"{stem}.hk").read_text()))
@@ -48,7 +58,8 @@ def main() -> None:
                 raise SystemExit(f"{stem}: {report['error']}")
     finally:
         groebner._engine = engine
-    print(f"engine runs {runs}, heap pops {pops}, sha256 {digest.hexdigest()}")
+        groebner._PairUpdate.pop = pop
+    print(f"engine runs {runs}, heap pops {pops}, pairs {pairs}, sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

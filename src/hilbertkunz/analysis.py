@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InsufficientSamples, ResourceLimit, SampleMismatch
+from .errors import InsufficientSamples, ResourceLimit, RingMismatch, SampleMismatch
 from .presentations import (
     IdealSpec,
     ModulePresentation,
@@ -46,6 +46,8 @@ class HKSeries:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.ideal.ringspec != self.ringspec or self.module.ringspec != self.ringspec:
+            raise RingMismatch("series ring differs from its ideal's or module's ring")
         for a, b in zip(self.samples, self.samples[1:]):
             if b.n != a.n + 1:
                 raise SampleMismatch("samples must have consecutive n")

@@ -27,6 +27,13 @@ packed monomial just below the top bit, and the top bit free. A slot
 that holds nothing live has its top bit set in a second int, the dead
 bits, which keep it out of every answer. The update also owns the queue
 of S-pairs: a queued pair is live exactly while it owns its slot.
+
+Two single-term elements are never paired: their S-vector is zero. A new
+single-term element is paired only with the live elements of its
+component that have a tail, read off the back of _Reducer.live. Over the
+Frobenius powers of the model rings almost every basis element is a
+single term (1,122 of 1,125 for the determinantal ring at q = 32), so
+this skips nearly every round of criteria M and F.
 """
 
 from __future__ import annotations
@@ -485,7 +492,15 @@ class _PairUpdate:
     of its component; the heap holds (degree, key, g, h, slot, pair) for
     it, ordered by the lcm's degree, then its term key, then g and h. A
     pair criterion B drops gives up its slot and stays in the heap, where
-    pop skips it: its slot is then dead or owned by a later pair."""
+    pop skips it: its slot is then dead or owned by a later pair.
+
+    A single-term h takes as candidates only the live elements with a
+    tail (_tailed_pairs), in the same order and with the same coprime
+    drop; its kills and criterion B are as above. Leaving out a pair of
+    two single terms is sound since its S-vector is zero, so it needs no
+    reduction, and it can stand in for a reduced pair in criterion B.
+    Criteria M and F over the fewer candidates keep every tailed pair the
+    full rounds keep, and a few more, which then reduce to zero."""
 
     def __init__(self, red: _Reducer):
         self.red = red
@@ -552,8 +567,9 @@ class _PairUpdate:
                 lcm_ij = pairs.entries[s] >> at
                 if _lcm(packed[i], ph, G, w) != lcm_ij and _lcm(packed[j], ph, G, w) != lcm_ij:
                     pairs.drop(s)
-        # criteria M and F over one candidate per live lead: the least left
-        # is kept, and every candidate whose lcm it divides leaves. Among
+        # criteria M and F over one candidate per live lead, or per live
+        # element with a tail when h is a single term: the least left is
+        # kept, and every candidate whose lcm it divides leaves. Among
         # equal lcms a coprime pair (ideal case only) comes first, and is
         # then dropped, since its S-polynomial reduces to zero.
         new = []
@@ -561,17 +577,20 @@ class _PairUpdate:
             R, GG, TOP, C = leads.masks
             X = (leads.bits | GG) - at_h * R
             m = X & GG
-            Q = X & (m - (m >> w))  # lcm - ph
             killed = (TOP - (m ^ GG)) & (TOP ^ leads.dead)
-            not_coprime = ((Q ^ leads.bits) + C) & TOP if self.ideal else TOP
-            candidates = Q | not_coprime >> (S - 1) | leads.dead
-            QG = Q | GG
-            while candidates & TOP != TOP:
-                least, g = _least_slot(candidates, leads.cap, S, leads.owners)
-                lcm = least >> at << at
-                if least & 1:
-                    new.append((g, lcm + at_h))
-                candidates |= (TOP - ((QG - lcm * R) & GG ^ GG)) & TOP
+            if len(red.elements[h]) == 1:
+                new = self._tailed_pairs(h, comp)
+            else:
+                Q = X & (m - (m >> w))  # lcm - ph
+                not_coprime = ((Q ^ leads.bits) + C) & TOP if self.ideal else TOP
+                candidates = Q | not_coprime >> (S - 1) | leads.dead
+                QG = Q | GG
+                while candidates & TOP != TOP:
+                    least, g = _least_slot(candidates, leads.cap, S, leads.owners)
+                    lcm = least >> at << at
+                    if least & 1:
+                        new.append((g, lcm + at_h))
+                    candidates |= (TOP - ((QG - lcm * R) & GG ^ GG)) & TOP
             while killed:
                 s = killed.bit_length() // S - 1
                 killed ^= 1 << ((s + 1) * S - 1)
@@ -583,6 +602,33 @@ class _PairUpdate:
             pair = (g, h, lcm)
             s = pairs.put(entry, pair)
             heapq.heappush(self.heap, (sum(lcm), _term_key(red.ring.order, comp, lcm), g, h, s, pair))
+
+    def _tailed_pairs(self, h: int, comp: int) -> list[tuple[int, int]]:
+        """Criteria M and F for a single-term h, one pair at a time over
+        the live elements of its component that have a tail: the back of
+        _Reducer.live, behind the single-term elements and h itself.
+        Returns the pairs to queue as (g, lcm moved up to packing.at),
+        least first."""
+        red = self.red
+        elements, packed = red.elements, red.packed
+        G, w, at = self.packing.guards, self.packing.w, self.packing.at
+        ph = packed[h]
+        candidates = []
+        for g in reversed(red.live[comp]):
+            if len(elements[g]) == 1:
+                break
+            lcm = _lcm(packed[g], ph, G, w)
+            candidates.append((lcm, not self.ideal or lcm != packed[g] + ph, g))
+        candidates.sort()
+        kept: list[int] = []
+        new = []
+        for lcm, not_coprime, g in candidates:
+            lg = lcm | G
+            if all((lg - k) & G != G for k in kept):
+                kept.append(lcm)
+                if not_coprime:
+                    new.append((g, lcm << at))
+        return new
 
 
 def _reduced_from_engine(red: _Reducer) -> list:

@@ -98,6 +98,18 @@ def test_series_requires_consecutive_n():
         HKSeries(rs, ideal, mod, 1, (HKSample(1, 2, 2), HKSample(3, 8, 8)))
 
 
+def test_series_rejects_an_ideal_or_module_over_another_ring():
+    """p is read from the series ring, so an F_3 ring over an F_2 ideal
+    or module would label F_2 lengths with q = 3^n."""
+    f3, f2 = hk.ring_spec("x y", 3), hk.ring_spec("x y", 2)
+    samples = (HKSample(1, 3, 3),)
+    HKSeries(f3, hk.maximal_ideal(f3), hk.free_module(f3, 1), 2, samples)
+    with pytest.raises(RingMismatch):
+        HKSeries(f3, hk.maximal_ideal(f2), hk.free_module(f3, 1), 2, samples)
+    with pytest.raises(RingMismatch):
+        HKSeries(f3, hk.maximal_ideal(f3), hk.free_module(f2, 1), 2, samples)
+
+
 # -- polynomial fits -------------------------------------------------------
 
 

@@ -514,6 +514,32 @@ def test_basis_size_cap(monkeypatch):
     )
 
 
+def test_update_never_pairs_two_single_term_elements(monkeypatch):
+    """Two single-term elements have a zero S-vector, so the update pairs
+    a single-term element only with elements that have a tail. On the
+    determinantal ring's Frobenius powers, where almost every basis
+    element is a single term, no popped pair joins two of them, and the
+    live leads are still the reduced basis's leads."""
+    rs = ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
+    module, ideal = free_module(rs, 1), maximal_ideal(rs)
+    pop = groebner._PairUpdate.pop
+    popped = []
+
+    def recorded(update):
+        pair = pop(update)
+        if pair is not None:
+            popped.append([len(update.red.elements[g]) for g in pair[:2]])
+        return pair
+
+    monkeypatch.setattr(groebner._PairUpdate, "pop", recorded)
+    for n in (1, 2, 3):
+        gens = frobenius_relations(module, ideal, n)
+        leads = groebner._live_leads(gens, 1)
+        assert sorted(leads[0]) == sorted(e for _, e in buchberger(gens).leading_terms())
+    assert popped
+    assert all(max(sizes) > 1 for sizes in popped)
+
+
 def test_krull_dimension():
     S = ring("u v w x y z", 2)
     G = buchberger(polys(S, "v*z + w*y", "w*x + u*z", "u*y + v*x"))
