@@ -3,17 +3,18 @@
 
     python3 scripts/engine_digest.py
 
-Runs each (stem, subcommand) of regen_fixtures.RUNS with groebner._engine
-and groebner._PairUpdate.pop wrapped, and hashes each engine run's
-elements (the monic term lists, in the order the run created them).
-Prints
+Runs each (stem, subcommand) of regen_fixtures.RUNS with groebner._engine,
+groebner._PairUpdate.pop and groebner._count_box wrapped, and hashes each
+engine run's elements (the monic term lists, in the order the run created
+them). Prints
 
-    engine runs N, heap pops P, pairs Q, sha256 H
+    engine runs N, heap pops P, pairs Q, sha256 H, count nodes C
 
-where P sums the reducer's heap pops over the runs and Q counts the
-S-pairs the pair update handed out. Two trees that print
-the same line took the same engine trajectory, not only the same lengths,
-so a refactor of the engine can be checked with one diff.
+where P sums the reducer's heap pops over the runs, Q counts the S-pairs
+the pair update handed out and C the nodes the standard-monomial counts
+visited. Two trees that print the same engine fields (all but C) took the
+same engine trajectory, not only the same lengths, so a refactor of the
+engine can be checked with one diff; C tracks the count on its own.
 """
 
 import hashlib
@@ -31,9 +32,10 @@ from hilbertkunz.problemfile import parse_problem  # noqa: E402
 
 def main() -> None:
     digest = hashlib.sha256()
-    runs = pops = pairs = 0
+    runs = pops = pairs = nodes = 0
     engine = groebner._engine
     pop = groebner._PairUpdate.pop
+    count_box = groebner._count_box
 
     def traced(*args, **kwargs):
         nonlocal runs, pops
@@ -49,8 +51,14 @@ def main() -> None:
         pairs += pair is not None
         return pair
 
+    def node(*args):
+        nonlocal nodes
+        nodes += 1
+        return count_box(*args)
+
     groebner._engine = traced
     groebner._PairUpdate.pop = counted
+    groebner._count_box = node
     try:
         for stem, subcommand in RUNS:
             report = run_problem(subcommand, parse_problem((CORPUS / f"{stem}.hk").read_text()))
@@ -59,7 +67,11 @@ def main() -> None:
     finally:
         groebner._engine = engine
         groebner._PairUpdate.pop = pop
-    print(f"engine runs {runs}, heap pops {pops}, pairs {pairs}, sha256 {digest.hexdigest()}")
+        groebner._count_box = count_box
+    print(
+        f"engine runs {runs}, heap pops {pops}, pairs {pairs}, "
+        f"sha256 {digest.hexdigest()}, count nodes {nodes}"
+    )
 
 
 if __name__ == "__main__":

@@ -859,16 +859,35 @@ def is_zero_dimensional(G: GroebnerBasis) -> bool:
 def _count_box(box, others, packing, nodes, deadline) -> int:
     """Monomials in the box that no generator divides, by corner splitting.
 
-    The generators are minimal, lie strictly inside the box and are packed
-    under `packing`. nodes[0] counts the nodes visited; the deadline is
-    checked every 16 nodes and inside _minimalize."""
+    The generators are minimal, lie strictly inside the box, each have two
+    or more variables and are packed under `packing`. A box with at most
+    two generators is counted by inclusion–exclusion, with the lcm of the
+    two. Otherwise it splits at x_b^t: the box x_b < t, plus the colon by
+    x_b^t. The colon sorts the generators by e = their x_b exponent:
+    - U, e = 0: unchanged;
+    - L, 0 < e <= t: x_b is zeroed, which can make one divide another;
+    - H, e > t: x_b is lowered by t.
+    An image from U or H divides no other image: for U, g | f' implies
+    g | f, and for H, g - t | f - t exactly when g | f. So only L is
+    minimalized, and an image from U or H that a kept L image divides is
+    dropped. A kept L image in one variable becomes the box's side in
+    that variable. Every L generator has a second variable, so the colon
+    never makes a unit.
+
+    nodes[0] counts the nodes visited; the deadline is checked every 16
+    nodes and every 16 monomials of the colon's divisibility pass."""
     nodes[0] += 1
     if nodes[0] > COUNT_NODE_LIMIT:
         raise ResourceLimit("standard-monomial counting budget exceeded")
     if nodes[0] & 15 == 0:
         _check_deadline(deadline)
-    if len(others) <= 1:
-        return prod(box) - sum(prod(map(sub, box, packing.unpack(e))) for e in others)
+    guards = packing.guards
+    if len(others) <= 2:
+        n = prod(box) - sum(prod(map(sub, box, packing.unpack(e))) for e in others)
+        if len(others) == 2:
+            lcm = _lcm(*others, guards, packing.w)
+            n += prod(map(sub, box, packing.unpack(lcm)))
+        return n
     # pivot on the busiest variable at its median positive exponent, which
     # lies in 1..box-1 since every generator is inside the box; `field`
     # masks that variable's bits, so e & field is its exponent shifted
@@ -888,12 +907,36 @@ def _count_box(box, others, packing, nodes, deadline) -> int:
     box1[best_var] = t >> s
     others1 = [e for e in others if e & field < t]
     n1 = _count_box(box1, others1, packing, nodes, deadline)
-    # branch 2: colon by x_best^t, which can make generators non-minimal
+    # branch 2: colon by x_best^t; U and H go to `kept`, L to `low`
     box2 = list(box)
     box2[best_var] = box[best_var] - (t >> s)
-    others2 = _minimalize(
-        [e - min(e & field, t) for e in others], packing.guards, deadline
-    )
+    kept, low = [], []
+    for e in others:
+        x = e & field
+        if not x:
+            kept.append(e)
+        elif x <= t:
+            low.append(e - x)
+        else:
+            kept.append(e - t)
+    low = _minimalize(low, guards, deadline)
+    others2 = []
+    step = packing.w + 1
+    for m in low:
+        at = (m.bit_length() - 1) // step * step  # m's last variable
+        if m & ((1 << at) - 1):
+            others2.append(m)
+        else:  # m = x_i^a: the box's new side in x_i
+            box2[at // step] = m >> at
+    for i, e in enumerate(kept):
+        if i & 15 == 15:
+            _check_deadline(deadline)
+        eg = e | guards
+        for m in low:
+            if (eg - m) & guards == guards:
+                break
+        else:
+            others2.append(e)
     n2 = _count_box(box2, others2, packing, nodes, deadline)
     return n1 + n2
 
