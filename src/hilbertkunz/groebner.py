@@ -923,7 +923,7 @@ def _count_box(box, others, packing, nodes, deadline) -> int:
     others2 = []
     step = packing.w + 1
     for m in low:
-        at = (m.bit_length() - 1) // step * step  # m's last variable
+        at = (m.bit_length() - 1) // step * step  # the field of m's last variable
         if m & ((1 << at) - 1):
             others2.append(m)
         else:  # m = x_i^a: the box's new side in x_i

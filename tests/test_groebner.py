@@ -3,6 +3,8 @@
 import itertools
 import random
 import time
+import unittest.mock
+from math import prod
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -482,6 +484,65 @@ def test_count_matches_brute_force(case):
     G = buchberger(gens, rank=rank)
     assert is_zero_dimensional(G)
     assert count_standard_monomials(G) == want
+
+
+@st.composite
+def deep_staircases(draw):
+    """Minimal leads of one component in 3-5 variables whose count splits
+    many times: a box with sides up to 12 and at most 4,000 cells, and up
+    to 30 generators, each in two or more variables strictly inside it.
+    Their degrees lie within two of one another, so few divide others.
+    Returns (box, leads), the pure powers first."""
+    nvars = draw(st.integers(3, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    box = [rng.randint(2, 12) for _ in range(nvars)]
+    while prod(box) > 4000:
+        box[box.index(max(box))] -= 1
+    degree = rng.randint(nvars, sum(box) // 2)
+    mixed = set()
+    for _ in range(rng.randint(3, 30)):
+        support = rng.sample(range(nvars), rng.randint(2, nvars))
+        e = [int(i in support) for i in range(nvars)]
+        for _ in range(degree + rng.randint(0, 1) - len(support)):
+            room = [i for i in support if e[i] < box[i] - 1]
+            if room:
+                e[rng.choice(room)] += 1
+        mixed.add(tuple(e))
+    leads = [tuple(box[i] * (j == i) for j in range(nvars)) for i in range(nvars)]
+    for g in sorted(mixed, key=sum):  # divisors first
+        if not any(monomial_divides(h, g) for h in leads):
+            leads.append(g)
+    return box, leads
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_staircases())
+# every rule once: a two-generator box, an L generator at t, an L image
+# that another divides, one absorbed as a side, a U or H image dropped
+@example(([4, 4, 4], [
+    (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 2, 0), (3, 1, 0), (0, 2, 3), (3, 0, 3),
+]))
+def test_count_of_deep_staircases_matches_brute_force(case):
+    """_count_leads equals enumeration of the box on staircases deep enough
+    to reach every rule of the colon branch. At every node each generator
+    has two or more variables, lies strictly inside the box and divides no
+    other, which is why the colon never makes a unit."""
+    box, leads = case
+    count_box = groebner._count_box
+
+    def node(sides, others, packing, nodes, deadline):
+        exps = [packing.unpack(e) for e in others]
+        for e in exps:
+            assert sum(map(bool, e)) >= 2 and all(x < s for x, s in zip(e, sides))
+            assert not any(f != e and monomial_divides(f, e) for f in exps)
+        return count_box(sides, others, packing, nodes, deadline)
+
+    divisible = set()
+    for g in leads[len(box):]:
+        divisible.update(itertools.product(*map(range, g, box)))
+    want = prod(box) - len(divisible)
+    with unittest.mock.patch.object(groebner, "_count_box", node):
+        assert groebner._count_leads([leads], len(box)) == want
 
 
 def test_count_node_cap(monkeypatch):
