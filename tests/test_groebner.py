@@ -491,7 +491,7 @@ def deep_staircases(draw):
     """Minimal leads of one component in 3-5 variables whose count splits
     many times: a box with sides up to 12 and at most 4,000 cells, and up
     to 30 generators, each in two or more variables strictly inside it.
-    Their degrees lie within two of one another, so few divide others.
+    Most have one of two adjacent degrees, so few divide others.
     Returns (box, leads), the pure powers first."""
     nvars = draw(st.integers(3, 5))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
