@@ -23,7 +23,6 @@ from .groebner import (
     default_module_order,
     is_zero_dimensional,
     krull_dimension,
-    normal_form,
     syzygies,
     unit_vector,
 )
@@ -71,10 +70,8 @@ from .analysis import (
     check_delta_recursion,
     delta_sequence,
     detect_periodic_tail,
-    estimate_alpha,
     estimate_beta,
     estimate_tau,
-    evaluate_fit,
     fit_geometric_tail,
     fit_polynomial,
     geometric_accelerate,

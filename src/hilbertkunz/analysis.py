@@ -266,10 +266,6 @@ def fit_polynomial(series: HKSeries) -> PolynomialFit | None:
     return PolynomialFit(tuple(coeffs), status, len(spare))
 
 
-def evaluate_fit(fit: PolynomialFit, q: int) -> Fraction:
-    return _expansion(fit.coefficients, q, len(fit.coefficients) - 1)
-
-
 def detect_periodic_tail(
     series: HKSeries, leading: list[Fraction]
 ) -> PeriodicTail | None:
@@ -404,8 +400,14 @@ def _alpha(
     fit: PolynomialFit | None,
     geometric: GeometricTail | None,
 ) -> tuple[AlphaEstimate, PeriodicTail | None]:
-    """The one rule for which exact structure fixes alpha, with the
-    periodic tail when a periodic pin fixed it (None otherwise)."""
+    """Raw and refined alpha sequences plus a single extrapolated value,
+    with the periodic tail when a periodic pin fixed it (None otherwise).
+
+    The extrapolated value prefers exact structure, in order: a verified
+    polynomial fit's leading coefficient, a verified geometric-tail leading
+    coefficient, a rational pinned by exact residual periodicity, a rational
+    pinned by the beta-residual test, and finally the last refined entry.
+    """
     if len(series.samples) < 2:
         raise InsufficientSamples("alpha estimation needs at least 2 samples")
     raw = tuple(Fraction(s.length, s.q**series.d) for s in series.samples)
@@ -422,21 +424,6 @@ def _alpha(
     if by_beta is not None:
         return AlphaEstimate(raw, refined, by_beta, "rational_pin"), None
     return AlphaEstimate(raw, refined, anchor, "refined_sequence"), None
-
-
-def estimate_alpha(
-    series: HKSeries,
-    fit: PolynomialFit | None = None,
-    geometric: GeometricTail | None = None,
-) -> AlphaEstimate:
-    """Raw and refined alpha sequences plus a single extrapolated value.
-
-    The extrapolated value prefers exact structure, in order: a verified
-    polynomial fit's leading coefficient, a verified geometric-tail leading
-    coefficient, a rational pinned by exact residual periodicity, a rational
-    pinned by the beta-residual test, and finally the last refined entry.
-    """
-    return _alpha(series, fit, geometric)[0]
 
 
 def _second_coefficient(seq: list, p: int, too_short: str) -> SecondCoefficient:

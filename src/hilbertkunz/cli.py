@@ -45,7 +45,8 @@ from .analysis import (
     sample_hk,
 )
 from .errors import HilbertKunzError, SemanticError
-# ORACLE_EXTRA_DEGREES is re-exported for callers that bound their own walk
+# ORACLE_EXTRA_DEGREES is re-exported for perfbench/tracing.py, which bounds
+# its own oracle walk
 from .oracle import ORACLE_EXTRA_DEGREES, stable_length  # noqa: F401
 from .presentations import (
     free_module,

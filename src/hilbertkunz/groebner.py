@@ -731,8 +731,9 @@ def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer
 
 
 def normal_forms(G: GroebnerBasis, deadline: float | None = None):
-    """The remainder map f -> NF(f) modulo G, with G loaded once for all its
-    calls. Past the deadline a reduction stops with ResourceLimit."""
+    """The remainder map f -> NF(f) modulo G, unique for a reduced basis,
+    with G loaded once for all its calls. Past the deadline a reduction
+    stops with ResourceLimit."""
     red = _loaded_reducer(G, deadline)
 
     def nf(f: FreeElement | Polynomial):
@@ -748,11 +749,6 @@ def normal_forms(G: GroebnerBasis, deadline: float | None = None):
         return result.components[0] if wrap else result
 
     return nf
-
-
-def normal_form(f: FreeElement | Polynomial, G: GroebnerBasis):
-    """Remainder of f modulo G; unique for a reduced basis."""
-    return normal_forms(G)(f)
 
 
 def syzygies(generators) -> list[FreeElement]:

@@ -5,8 +5,8 @@ multiples u * g of degree <= d. One Macaulay system grows with d, degree by
 degree as in Lazard (1983): rows are numbered by degree first, so bound d
 keeps its rows, columns and pivots at d + 1 and adds only the degree-d rows
 and the columns with |u| = d - deg g. Exists to validate the Groebner
-pipeline on small instances, not to be fast. Elimination is pure Python:
-int bitsets over F_2, sparse {row: coefficient} columns over odd p.
+pipeline on small instances, not to be fast. Elimination is pure Python,
+on sparse {row: coefficient} columns over F_p.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ def _monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
         (k, *rest) for k in range(degree, -1, -1)
         for rest in _monomials_of_degree(nvars - 1, degree - k)
     )
-
-
-def monomials_up_to(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples with total degree <= degree, in a fixed order."""
-    return [m for d in range(degree + 1) for m in _monomials_of_degree(nvars, d)]
 
 
 def _components(element, rank: int) -> tuple[Polynomial, ...]:
@@ -97,26 +92,12 @@ def _check_size(n_rows: int, n_cols: int) -> None:
         )
 
 
-def _rank_gf2(pivots: dict[int, int], columns: list[int]) -> int:
-    """Extend pivots, {top row: column}, by eliminating columns over F_2
-    given as int bitsets (bit r = row r) on their top rows; return the
-    rank, len(pivots)."""
-    for col in columns:
-        while col:
-            top = col.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = col
-                break
-            col ^= pivot
-    return len(pivots)
-
-
-def _rank_gfp(pivots: dict[int, dict[int, int]], columns: list[dict[int, int]],
-              p: int) -> int:
-    """_rank_gf2 over F_p, for sparse {row: coefficient} columns with
-    coefficients in [1, p); stored pivot columns are scaled to 1 at their
-    pivot."""
+def _rank(pivots: dict[int, dict[int, int]], columns: list[dict[int, int]],
+          p: int) -> int:
+    """Extend pivots, {top row: column}, by eliminating the sparse {row:
+    coefficient} columns, with coefficients in [1, p), on their top rows;
+    return the rank, len(pivots). Stored pivot columns are scaled to 1 at
+    their pivot."""
     for col in columns:
         col = dict(col)
         while col:
@@ -135,12 +116,6 @@ def _rank_gfp(pivots: dict[int, dict[int, int]], columns: list[dict[int, int]],
                     # f * c is nonzero, so v == 0 means r was present
                     del col[r]
     return len(pivots)
-
-
-def _rank(pivots: dict, columns: list[dict[int, int]], p: int) -> int:
-    if p == 2:
-        return _rank_gf2(pivots, [sum(1 << r for r in col) for col in columns])
-    return _rank_gfp(pivots, columns, p)
 
 
 class MacaulaySystem:
@@ -162,7 +137,7 @@ class MacaulaySystem:
         self.n_rows = self.n_cols = self.rank = self.count = 0
         self.counts: list[int] = []
         self._rows: dict[tuple[int, Exponents], int] = {}
-        self._pivots: dict = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     def grow(self, degree_bound: int) -> None:
         """Grow to degree_bound, one bound at a time. The limits are checked
@@ -187,13 +162,6 @@ class MacaulaySystem:
             self.n_rows, self.n_cols = len(self._rows), self.n_cols + len(cols)
             self.degree_bound, self.count = d, self.n_rows - self.rank
             self.counts.append(self.count)
-
-
-def build_system(relations, rank: int, p: int, degree_bound: int) -> MacaulaySystem:
-    """The system of the relations grown to degree_bound."""
-    system = MacaulaySystem(relations, rank, p)
-    system.grow(degree_bound)
-    return system
 
 
 def _pure_power_box(rels, v: int, rank: int):
@@ -270,15 +238,18 @@ def oracle_length(
     """Count monomials of degree <= bound outside the span of all generator
     multiples.
 
-    The count is a non-increasing upper bound on the colength as the bound
-    grows. stable certifies the returned count is the true colength: the
-    count matched the bound-1 run, every (component, variable) pair has a
-    pure-power relation of degree <= bound, and the count equals the exact
-    box computation those pure powers make possible. A plateau alone can
-    lie (cancellation can resurface many degrees later), so the certificate
-    is checked against the exact value, never inferred from the plateau.
+    Only a certified count is the colength. A truncated count can lie
+    above it or below it: for (x^3, y^3) over F_2 the counts at bounds
+    0..6 are 1, 3, 6, 8, 9, 9, 9, against the colength 9. stable certifies
+    the returned count is the true colength: the count matched the bound-1
+    run, every (component, variable) pair has a pure-power relation of
+    degree <= bound, and the count equals the exact box computation those
+    pure powers make possible. A plateau alone can lie (cancellation can
+    resurface many degrees later), so the certificate is checked against
+    the exact value, never inferred from the plateau.
     """
-    system = build_system(relations, rank, p, degree_bound)
+    system = MacaulaySystem(relations, rank, p)
+    system.grow(degree_bound)
     return system.count, _certified(system, relations)
 
 

@@ -5,8 +5,10 @@ known exactly, so the estimators can be checked against exact rationals
 without running the engine.
 """
 
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +29,14 @@ from hilbertkunz import (
     check_delta_recursion,
     delta_sequence,
     detect_periodic_tail,
-    estimate_alpha,
     estimate_beta,
     estimate_tau,
-    evaluate_fit,
     fit_geometric_tail,
     fit_polynomial,
     geometric_accelerate,
     sample_hk,
 )
+from hilbertkunz.analysis import _alpha, _expansion
 from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import (
     InsufficientSamples,
@@ -143,8 +144,8 @@ def test_fit_needs_d_plus_one_samples():
 
 def test_evaluate_fit_reproduces_sample():
     fit = fit_polynomial(make_series(minors_lengths(6), p=2, d=4))
-    assert evaluate_fit(fit, 32) == 1695608
-    assert evaluate_fit(fit, 2) == 23
+    assert _expansion(fit.coefficients, 32, 4) == 1695608
+    assert _expansion(fit.coefficients, 2, 4) == 23
 
 
 def test_fit_is_not_faked_for_periodic_data():
@@ -273,7 +274,7 @@ def test_geometric_tail_large_p_returns_at_once():
 
 def test_alpha_pinned_by_periodicity():
     ser = make_series(quintic_lengths(2, 8), p=2, d=1)
-    alpha = estimate_alpha(ser)
+    alpha = _alpha(ser, None, None)[0]
     assert alpha.extrapolated == F(5)
     assert alpha.method == "periodic_pin"
     assert alpha.raw[-1] == F(1276, 256)
@@ -282,7 +283,7 @@ def test_alpha_pinned_by_periodicity():
 @pytest.mark.parametrize("p", [3, 7])
 def test_alpha_pinned_for_other_characteristics(p):
     ser = make_series(quintic_lengths(p, 8), p=p, d=1)
-    alpha = estimate_alpha(ser)
+    alpha = _alpha(ser, None, None)[0]
     assert alpha.extrapolated == F(5)
     assert alpha.method == "periodic_pin"
 
@@ -291,7 +292,7 @@ def test_alpha_prefers_verified_fit():
     ser = make_series(minors_lengths(6), p=2, d=4)
     fit = fit_polynomial(ser)
     fake_geometric = GeometricTail(F(99), F(1), 3)
-    alpha = estimate_alpha(ser, fit, fake_geometric)
+    alpha = _alpha(ser, fit, fake_geometric)[0]
     assert alpha.method == "polynomial_fit"
     assert alpha.extrapolated == F(13, 8)
 
@@ -299,7 +300,7 @@ def test_alpha_prefers_verified_fit():
 def test_alpha_ignores_unverified_fit():
     ser = make_series(quartic_surface_lengths(3), p=5, d=3)
     unverified = PolynomialFit((F(99), F(0), F(0), F(0)), "unverified", 0)
-    alpha = estimate_alpha(ser, unverified, fit_geometric_tail(ser))
+    alpha = _alpha(ser, unverified, fit_geometric_tail(ser))[0]
     assert alpha.method == "geometric_tail"
     assert alpha.extrapolated == F(168, 61)
 
@@ -309,21 +310,21 @@ def test_alpha_rational_pin_on_polynomial_data_without_spare():
     unverified, the tail is neither geometric nor periodic, and the
     beta-residual test still pins alpha = 13/8 exactly."""
     ser = make_series(minors_lengths(5), p=2, d=4)
-    alpha = estimate_alpha(ser, fit_polynomial(ser), fit_geometric_tail(ser))
+    alpha = _alpha(ser, fit_polynomial(ser), fit_geometric_tail(ser))[0]
     assert alpha.method == "rational_pin"
     assert alpha.extrapolated == F(13, 8)
 
 
 def test_alpha_falls_back_to_refined_sequence():
     ser = make_series([7, 15], p=2, d=1)
-    alpha = estimate_alpha(ser)
+    alpha = _alpha(ser, None, None)[0]
     assert alpha.method == "refined_sequence"
     assert alpha.extrapolated == F(4)  # (15 - 7)/2
 
 
 def test_alpha_needs_two_samples():
     with pytest.raises(InsufficientSamples):
-        estimate_alpha(make_series([4], p=2, d=1))
+        _alpha(make_series([4], p=2, d=1), None, None)
 
 
 # -- beta ------------------------------------------------------------------
@@ -494,7 +495,7 @@ def test_ring_alpha_follows_the_analysis_rule():
     q^2/4 + 4q + 15 has a verified fit with alpha 1/4, where the rational
     pin alone picks 1/7."""
     ring_series = make_series([24, 35, 63, 143], p=2, d=2)
-    assert estimate_alpha(ring_series).extrapolated == F(1, 7)
+    assert _alpha(ring_series, None, None)[0].extrapolated == F(1, 7)
     rep = analyze_module_vs_ring(ring_series, ring_series, 1)
     assert rep.alpha.extrapolated == F(1, 4)
     assert not any("deviates" in w for w in rep.warnings)
@@ -526,7 +527,7 @@ def ladder_reference(series: HKSeries) -> AsymptoticReport:
     geometric = None
     if fit is None or fit.status != "verified":
         geometric = fit_geometric_tail(series)
-    alpha = estimate_alpha(series, fit, geometric)
+    alpha = _alpha(series, fit, geometric)[0]
     beta, warnings = None, ()
     if alpha.method == "refined_sequence":
         warnings = ("beta withheld: alpha could not be pinned exactly from the samples",)
@@ -722,3 +723,27 @@ def test_additive_error_rejects_misaligned_series():
     )
     with pytest.raises(SampleMismatch, match="different n ranges"):
         hk.additive_error(short[0], long_[0], long_[0])
+
+
+# -- README ----------------------------------------------------------------
+
+
+def test_readme_library_example_runs_as_documented():
+    """The README's library example runs on the public API, and every
+    expression line in it equals the value its comment shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    exec(code, namespace)
+    shown = 0
+    for line in code.splitlines():
+        expr, _, comment = line.partition("#")
+        if comment and "=" not in expr:
+            value = eval(comment, {"Fraction": F, "PeriodicTail": hk.PeriodicTail})
+            assert eval(expr, namespace) == value, line
+            shown += 1
+    assert shown == 3
+    assert namespace["series"].lengths() == [4, 16, 34, 76, 154, 316, 634, 1276]
+    report = namespace["report"]
+    assert report.alpha.extrapolated == 5
+    assert report.periodic_tail == hk.PeriodicTail(2, 1, (F(-4), F(-6)))

@@ -1,6 +1,6 @@
 """Bounded-degree length oracle: counts, stability certificate, caps, the
-degree walk, the two rank routines, and the grown system against matrices
-built from scratch."""
+degree walk, the rank routine, and the grown system against matrices built
+from scratch."""
 
 from itertools import product
 from types import SimpleNamespace
@@ -14,11 +14,10 @@ from hilbertkunz.errors import HilbertKunzError, MatrixTooLarge
 from hilbertkunz.groebner import FreeElement
 from hilbertkunz.oracle import (
     ORACLE_EXTRA_DEGREES,
-    _rank_gf2,
-    _rank_gfp,
-    build_system,
+    MacaulaySystem,
+    _monomials_of_degree,
+    _rank,
     exact_box_count,
-    monomials_up_to,
     oracle_length,
     stable_length,
 )
@@ -46,10 +45,13 @@ def unit_ideal():
 
 
 def test_monomials_up_to():
-    ms = monomials_up_to(2, 2)
+    def up_to(nvars, degree):
+        return [m for d in range(degree + 1) for m in _monomials_of_degree(nvars, d)]
+
+    ms = up_to(2, 2)
     assert set(ms) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-    assert monomials_up_to(3, 0) == [(0, 0, 0)]
-    assert monomials_up_to(2, -1) == []
+    assert up_to(3, 0) == [(0, 0, 0)]
+    assert up_to(2, -1) == []
 
 
 def test_pure_power_pair():
@@ -78,13 +80,27 @@ def test_unstable_below_saturation():
     S = ring("x y", 5)
     count, stable = oracle_length(polys(S, "x^2", "y^3"), 1, 5, 3)
     assert not stable
-    assert count >= 6  # truncated counts over-estimate, never under
+    # the colength is 6; an uncertified count can lie on either side of it
+    assert count >= 6
+
+
+def test_truncated_counts_can_lie_below_the_colength():
+    """For (x^3, y^3) over F_2 the count at bound 3, where the walk starts,
+    is 8, below the colength 9; the certificate first holds at bound 5."""
+    S = ring("x y", 2)
+    gens = polys(S, "x^3", "y^3")
+    system = MacaulaySystem(gens, 1, 2)
+    system.grow(6)
+    assert system.counts == [1, 3, 6, 8, 9, 9, 9]
+    assert exact_box_count(gens, 1, 2) == 9
+    assert oracle_length(gens, 1, 2, 3) == (8, False)
+    assert stable_length(gens, 1, 2) == (9, True, 5, None)
 
 
 def test_counts_non_increasing_in_degree():
     S = ring("x y", 3)
     gens = polys(S, "x^3 + x*y", "y^2 + x", "x^4", "y^4")
-    counts = [build_system(gens, 1, 3, d).count for d in range(4, 12)]
+    counts = [oracle_length(gens, 1, 3, d)[0] for d in range(4, 12)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -177,7 +193,8 @@ def test_walk_matches_per_degree_certificate(gens, start):
 
 def test_walk_keeps_last_count_when_a_cap_trips(monkeypatch):
     gens = unit_ideal()  # certified only at degree 13
-    system = build_system(gens, 1, 2, 10)
+    system = MacaulaySystem(gens, 1, 2)
+    system.grow(10)
     monkeypatch.setattr(oracle, "CELL_CAP", system.n_rows * system.n_cols)
     walk = stable_length(gens, 1, 2)
     assert walk[:3] == (system.count, False, 10)
@@ -190,7 +207,7 @@ def test_walk_keeps_last_count_when_the_deadline_passes(monkeypatch):
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     walk = stable_length(unit_ideal(), 1, 2, deadline=1.0)
     assert walk == (
-        build_system(unit_ideal(), 1, 2, 7).count, False, 7,
+        oracle_length(unit_ideal(), 1, 2, 7)[0], False, 7,
         "oracle stopped at degree 8: time budget exceeded",
     )
 
@@ -254,10 +271,7 @@ def test_rank_routines_match_row_reduction(case):
     p, columns = case
     expected = reference_rank(columns, p)
     sparse = [{r: c for r, c in enumerate(col) if c} for col in columns]
-    assert _rank_gfp({}, sparse, p) == expected
-    if p == 2:
-        bitsets = [sum(1 << r for r in col) for col in sparse]
-        assert _rank_gf2({}, bitsets) == expected
+    assert _rank({}, sparse, p) == expected
 
 
 @st.composite
@@ -304,7 +318,8 @@ def test_grown_counts_match_the_matrix_built_from_scratch(case):
     """Growing one system bound by bound gives, at every bound, the count
     of the Macaulay matrix assembled from scratch at that bound."""
     p, rank, nvars, relations = case
-    system = build_system(relations, rank, p, 4)
+    system = MacaulaySystem(relations, rank, p)
+    system.grow(4)
     assert system.counts == [
         dense_count(relations, rank, p, nvars, d) for d in range(5)
     ]
