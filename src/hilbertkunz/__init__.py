@@ -60,8 +60,7 @@ from .analysis import (
     GeometricTail,
     HKSample,
     HKSeries,
-    PeriodicTail,
-    PolynomialFit,
+    QuasiPolynomialFit,
     SecondCoefficient,
     additive_error,
     analyze_module_vs_ring,
@@ -69,12 +68,8 @@ from .analysis import (
     bounded_by_power,
     check_delta_recursion,
     delta_sequence,
-    detect_periodic_tail,
-    estimate_beta,
-    estimate_tau,
     fit_geometric_tail,
-    fit_polynomial,
-    geometric_accelerate,
+    fit_quasi_polynomial,
     sample_hk,
 )
 from .problemfile import ProblemFile, parse_problem, serialize_problem

@@ -2,10 +2,12 @@
 
 Everything here consumes sampled lengths and produces the structural data:
 the leading coefficient alpha, the second coefficient beta, delta and tau
-sequences against a reference ring, additive errors on short exact
-sequences, exact polynomial fits in q = p^n, and periodic or geometric tail
-classification. All fitting runs over exact rationals; floats appear only
-when callers format output.
+sequences against a reference ring, and additive errors on short exact
+sequences. One exact fitter finds quasi-polynomials in q = p^n (the
+coefficients may depend on n mod a period), and fit_geometric_tail finds
+the one other shape, a*q^d + c*r^n. A coefficient is reported as exact
+only when such a shape, confirmed by spare samples, fixes it. All fitting
+runs over exact rationals; floats appear only when callers format output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import mul
 
 from .errors import InsufficientSamples, ResourceLimit, RingMismatch, SampleMismatch
 from .presentations import (
@@ -23,7 +28,6 @@ from .presentations import (
 )
 
 PERIOD_MAX = 6
-PIN_DENOMINATOR_CAP = 10**12
 
 
 @dataclass(frozen=True)
@@ -68,32 +72,34 @@ class AlphaEstimate:
     raw: tuple[Fraction, ...]
     refined: tuple[Fraction, ...]
     extrapolated: Fraction
-    method: str  # polynomial_fit | geometric_tail | periodic_pin | rational_pin | refined_sequence
+    # polynomial_fit | quasi_polynomial_fit | geometric_tail: exact, the
+    # shape's leading coefficient; refined_sequence: the last refined entry
+    method: str
 
 
 @dataclass(frozen=True)
 class SecondCoefficient:
     """The q^{d-1} coefficient of a length function (beta for a ring, tau
-    for a module against it): its sequence and one accelerated limit."""
+    for a module against it): its sequence, and its limit when a verified
+    shape fixes it (None otherwise)."""
 
     sequence: tuple[Fraction, ...]
-    extrapolated: Fraction
+    limit: Fraction | None
 
 
 @dataclass(frozen=True)
-class PolynomialFit:
-    """Coefficients c_0..c_d of c_0 q^d + c_1 q^{d-1} + ... + c_d."""
+class QuasiPolynomialFit:
+    """l_n = sum_i c_i(n) q^{d-i} on every sample from start_n on.
 
-    coefficients: tuple[Fraction, ...]
-    status: str  # "verified" when spare samples confirmed the fit
-    verified_samples: int
+    The coefficients run from q^d down. Each is a Fraction when it is
+    constant, or a tuple indexed by n mod period when it is not. They were
+    solved on the last samples, and spare_samples earlier ones confirm them.
+    """
 
-
-@dataclass(frozen=True)
-class PeriodicTail:
     period: int
     start_n: int
-    residues: tuple[Fraction, ...]  # indexed by n mod period
+    coefficients: tuple
+    spare_samples: int
 
 
 @dataclass(frozen=True)
@@ -143,10 +149,9 @@ class AdditiveErrorReport:
 class AsymptoticReport:
     alpha: AlphaEstimate
     beta: SecondCoefficient | None
-    polynomial_fit: PolynomialFit | None
-    periodic_tail: PeriodicTail | None
+    polynomial_fit: QuasiPolynomialFit | None
     geometric_tail: GeometricTail | None
-    tail_classification: str  # polynomial | geometric | periodic | unclassified
+    tail_classification: str  # polynomial | periodic | geometric | unclassified
     delta_sequence: tuple[int, ...] | None = None
     tau: SecondCoefficient | None = None
     delta_recursion: DeltaRecursionReport | None = None
@@ -217,81 +222,77 @@ def sample_hk(
 # -- exact fits and tail shapes ------------------------------------------------
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; matrix must be square and
-    nonsingular (always true for distinct q powers)."""
+def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """Exact solution of a square integer system, or None when it is
+    singular: fraction-free (Bareiss) elimination, whose divisions by the
+    previous pivot are exact, then back substitution over the rationals."""
     m = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [row + [b] for row, b in zip(matrix, rhs)]
+    previous = 1
     for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
+        pivot = next((r for r in range(col, m) if a[r][col]), None)
+        if pivot is None:
+            return None
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+        top = a[col]
+        for r in range(col + 1, m):
+            f = a[r][col]
+            a[r] = [(x * top[col] - f * y) // previous for x, y in zip(a[r], top)]
+        previous = top[col]
+    solution = [Fraction(0)] * m
+    for r in reversed(range(m)):
+        rest = sum(a[r][c] * solution[c] for c in range(r + 1, m))
+        solution[r] = (a[r][m] - rest) / Fraction(a[r][r])
+    return solution
 
 
-def _expansion(coeffs, q: int, d: int) -> Fraction:
-    """sum(c_i q^{d-i}): coefficients listed from q^d down, at q."""
-    q = Fraction(q)
-    return sum((c * q ** (d - i) for i, c in enumerate(coeffs)), Fraction(0))
-
-
-def fit_polynomial(series: HKSeries) -> PolynomialFit | None:
-    """Exact polynomial fit in q of degree d, or None.
-
-    Solves for the d+1 coefficients on the first d+1 samples and accepts
-    only if every remaining sample is reproduced exactly. With no spare
-    samples the fit is reported with status "unverified".
-    """
-    d = series.d
-    m = d + 1
-    samples = series.samples
-    if len(samples) < m:
-        raise InsufficientSamples(
-            f"need at least {m} samples for a degree-{d} fit, have {len(samples)}"
-        )
-    rows = [
-        [Fraction(s.q) ** (d - i) for i in range(m)] for s in samples[:m]
-    ]
-    rhs = [Fraction(s.length) for s in samples[:m]]
-    coeffs = _solve_exact(rows, rhs)
-    spare = samples[m:]
-    if any(_expansion(coeffs, s.q, d) != s.length for s in spare):
-        return None
-    status = "verified" if spare else "unverified"
-    return PolynomialFit(tuple(coeffs), status, len(spare))
-
-
-def detect_periodic_tail(
-    series: HKSeries, leading: list[Fraction]
-) -> PeriodicTail | None:
-    """Smallest eventual period of t_n = length_n - sum(leading_i q^{d-i}).
-
-    Periods 1..PERIOD_MAX are tried. A period P is accepted when the
-    residuals agree on every class n mod P over a tail of more than 2P
-    samples: each class observed twice, and one sample spare, since the
-    anchor behind the residuals can make two of them agree by
-    construction. Residues are reported indexed by n mod P.
-    """
-    if len(series.samples) < 2:
-        raise InsufficientSamples("periodic detection needs at least 2 samples")
-    d = series.d
-    t = {s.n: s.length - _expansion(leading, s.q, d) for s in series.samples}
-    ns = sorted(t)
+def _shapes(degree: int) -> list[tuple[int, ...]]:
+    """Each shape as the periods of its coefficients, q^degree first: "R1"
+    (c_degree and c_(degree-1) constant, the rest of period P) and "any"
+    (c_degree constant) for P = 1..PERIOD_MAX, fewest unknowns first."""
+    shapes = set()
     for period in range(1, PERIOD_MAX + 1):
-        for start_idx in range(len(ns)):
-            tail = ns[start_idx:]
-            if len(tail) <= 2 * period:
-                break
-            # n is consecutive, so agreeing one period apart is agreeing
-            # on each class, and the tail's first period meets every class
-            if all(t[n] == t[n + period] for n in tail[: len(tail) - period]):
-                residues = (t[tail[0] + (r - tail[0]) % period] for r in range(period))
-                return PeriodicTail(period, tail[0], tuple(residues))
+        shapes.add((1,) * min(2, degree + 1) + (period,) * (degree - 1))
+        shapes.add((1,) + (period,) * degree)
+    return sorted(shapes, key=lambda shape: (sum(shape), max(shape)))
+
+
+def fit_quasi_polynomial(ns, qs, values, degree: int) -> QuasiPolynomialFit | None:
+    """The first shape of _shapes(degree) that the samples confirm, or None.
+
+    Each shape is solved once, on the last samples (one per unknown), and
+    extended backwards while the earlier samples agree, checked as an
+    integer identity after clearing denominators. Those earlier samples
+    are its spare samples. A fit needs two of them, or one when it is a
+    polynomial (period 1) that reaches the first sample.
+    """
+    if degree < 0:
+        return None
+    count = len(values)
+    for shape in _shapes(degree):
+        k = sum(shape)
+        if k >= count:
+            break
+        columns = [(degree - i, size, r) for i, size in enumerate(shape) for r in range(size)]
+
+        def row(j):
+            return [qs[j] ** e if ns[j] % size == r else 0 for e, size, r in columns]
+
+        solved = _solve_exact([row(j) for j in range(count - k, count)], values[count - k:])
+        if solved is None:
+            continue
+        den = lcm(*(c.denominator for c in solved))
+        scaled = [c.numerator * (den // c.denominator) for c in solved]
+        start = count - k
+        while start and sum(map(mul, scaled, row(start - 1))) == den * values[start - 1]:
+            start -= 1
+        spare = count - k - start
+        if spare >= 2 or (spare == 1 and start == 0 and max(shape) == 1):
+            it = iter(solved)
+            coefficients = tuple(
+                next(it) if size == 1 else tuple(islice(it, size)) for size in shape
+            )
+            return QuasiPolynomialFit(max(shape), ns[start], coefficients, spare)
     return None
 
 
@@ -300,13 +301,14 @@ def fit_geometric_tail(series: HKSeries) -> GeometricTail | None:
 
     That shape makes D_n = length_{n+1} - p^d*length_n equal
     c*r^n*(r - p^d), so r = D_1/D_0 is the only candidate, and D_0 gives c
-    (nonzero exactly when D_0 is). The fit is accepted only if every sample
-    is reproduced; three samples are needed, so that one is spare. The
-    ratio p^d itself is excluded (that shape is the polynomial fit's job).
+    (nonzero exactly when D_0 is). Those three samples fix a, c and r, so
+    four samples are needed, one of them spare, and every sample must be
+    reproduced. The ratio p^d itself is excluded (that shape is a
+    polynomial).
     """
     samples = series.samples
     d = series.d
-    if len(samples) < 3 or d < 1:
+    if len(samples) < 4 or d < 1:
         return None
     pd = series.p**d
     l0, l1, l2 = (s.length for s in samples[:3])
@@ -327,27 +329,6 @@ def fit_geometric_tail(series: HKSeries) -> GeometricTail | None:
 # -- coefficient estimation ----------------------------------------------------
 
 
-def geometric_accelerate(seq: list[Fraction], p: int) -> list[Fraction]:
-    """One Richardson step for sequences with O(1/q) error: the p-weighted
-    difference (p*a_{n+1} - a_n)/(p-1) cancels the leading error term."""
-    return [(p * b - a) / (p - 1) for a, b in zip(seq, seq[1:])]
-
-
-def _convergents(x: Fraction, den_cap: int = PIN_DENOMINATOR_CAP) -> list[Fraction]:
-    """Continued-fraction convergents of x, in increasing denominator order."""
-    out = []
-    num, den = x.numerator, x.denominator
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while den:
-        a, rem = divmod(num, den)
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        if k1 > den_cap:
-            break
-        out.append(Fraction(h1, k1))
-        num, den = den, rem
-    return out
-
-
 def _refined_alpha(series: HKSeries) -> list[Fraction]:
     """Pairwise combination cancelling the q^{d-1} term exactly:
     (phi_{n+1} - p^{d-1} phi_n) / ((p^d - p^{d-1}) q_n^d)."""
@@ -361,89 +342,33 @@ def _refined_alpha(series: HKSeries) -> list[Fraction]:
 
 
 def _beta_sequence(series: HKSeries, alpha: Fraction) -> list[Fraction]:
+    """beta_n = (phi_n - alpha q^d)/q^{d-1}; alpha must be exact, since an
+    alpha off by epsilon shifts every beta_n by epsilon*q."""
     d = series.d
     return [
-        (s.length - _expansion([alpha], s.q, d)) / Fraction(s.q) ** (d - 1)
+        (s.length - alpha * Fraction(s.q) ** d) / Fraction(s.q) ** (d - 1)
         for s in series.samples
     ]
 
 
-def _pin_by_beta_residuals(series: HKSeries, anchor: Fraction) -> Fraction | None:
-    """Smallest-denominator convergent of the anchor whose beta residuals
-    are Cauchy-like: successive |beta_{n+1} - beta_n| never increase. A
-    wrong alpha makes the residuals drift linearly in q, which shows up as
-    growing differences."""
-    if len(series.samples) < 3:
-        return None
-    for cand in _convergents(anchor):
-        betas = _beta_sequence(series, cand)
-        diffs = [abs(b - a) for a, b in zip(betas, betas[1:])]
-        if all(y <= x for x, y in zip(diffs, diffs[1:])):
-            return cand
-    return None
-
-
-def _pin_by_periodicity(
-    series: HKSeries, anchor: Fraction
-) -> tuple[Fraction, PeriodicTail] | None:
-    if len(series.samples) < 4:
-        return None
-    for cand in _convergents(anchor):
-        tail = detect_periodic_tail(series, [cand])
-        if tail is not None:
-            return cand, tail
-    return None
-
-
 def _alpha(
     series: HKSeries,
-    fit: PolynomialFit | None,
+    fit: QuasiPolynomialFit | None,
     geometric: GeometricTail | None,
-) -> tuple[AlphaEstimate, PeriodicTail | None]:
-    """Raw and refined alpha sequences plus a single extrapolated value,
-    with the periodic tail when a periodic pin fixed it (None otherwise).
-
-    The extrapolated value prefers exact structure, in order: a verified
-    polynomial fit's leading coefficient, a verified geometric-tail leading
-    coefficient, a rational pinned by exact residual periodicity, a rational
-    pinned by the beta-residual test, and finally the last refined entry.
-    """
+) -> AlphaEstimate:
+    """Raw and refined alpha sequences plus a single value: the leading
+    coefficient of the quasi-polynomial fit, else of the geometric tail,
+    else the last refined entry, which is only an estimate."""
     if len(series.samples) < 2:
         raise InsufficientSamples("alpha estimation needs at least 2 samples")
     raw = tuple(Fraction(s.length, s.q**series.d) for s in series.samples)
     refined = tuple(_refined_alpha(series))
-    anchor = refined[-1]
-    if fit is not None and fit.status == "verified":
-        return AlphaEstimate(raw, refined, fit.coefficients[0], "polynomial_fit"), None
+    if fit is not None:
+        method = "polynomial_fit" if fit.period == 1 else "quasi_polynomial_fit"
+        return AlphaEstimate(raw, refined, fit.coefficients[0], method)
     if geometric is not None:
-        return AlphaEstimate(raw, refined, geometric.leading, "geometric_tail"), None
-    pinned = _pin_by_periodicity(series, anchor)
-    if pinned is not None:
-        return AlphaEstimate(raw, refined, pinned[0], "periodic_pin"), pinned[1]
-    by_beta = _pin_by_beta_residuals(series, anchor)
-    if by_beta is not None:
-        return AlphaEstimate(raw, refined, by_beta, "rational_pin"), None
-    return AlphaEstimate(raw, refined, anchor, "refined_sequence"), None
-
-
-def _second_coefficient(seq: list, p: int, too_short: str) -> SecondCoefficient:
-    """seq and one Richardson step's last value; too_short is the error
-    message when seq has fewer than 2 terms."""
-    if len(seq) < 2:
-        raise InsufficientSamples(too_short)
-    return SecondCoefficient(tuple(seq), geometric_accelerate(seq, p)[-1])
-
-
-def estimate_beta(series: HKSeries, alpha: Fraction) -> SecondCoefficient:
-    """beta_n = (phi_n - alpha q^d)/q^{d-1} and its accelerated limit.
-
-    alpha must be exact; an alpha off by epsilon shifts every beta_n by
-    epsilon*q, which is why callers withhold beta when alpha is only known
-    to O(1/q).
-    """
-    return _second_coefficient(
-        _beta_sequence(series, alpha), series.p, "beta estimation needs at least 2 samples"
-    )
+        return AlphaEstimate(raw, refined, geometric.leading, "geometric_tail")
+    return AlphaEstimate(raw, refined, refined[-1], "refined_sequence")
 
 
 def _check_aligned(first: HKSeries, *others: HKSeries) -> None:
@@ -500,15 +425,6 @@ def check_delta_recursion(
     return DeltaRecursionReport(tuple(residuals), bound)
 
 
-def estimate_tau(deltas, p: int, d: int, n_start: int = 1) -> SecondCoefficient:
-    """tau_n = delta_n / q^{d-1} and its accelerated limit."""
-    seq = [
-        Fraction(dl) / Fraction(p ** (n_start + i)) ** (d - 1)
-        for i, dl in enumerate(deltas)
-    ]
-    return _second_coefficient(seq, p, "tau estimation needs at least 2 deltas")
-
-
 def additive_error(
     sub: HKSeries, ambient: HKSeries, quotient: HKSeries
 ) -> AdditiveErrorReport:
@@ -539,13 +455,10 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
     series."""
     warnings = []
     d = series.d
-    fit = None
-    if len(series.samples) >= d + 1:
-        fit = fit_polynomial(series)
-    geometric = None
-    if fit is None or fit.status != "verified":
-        geometric = fit_geometric_tail(series)
-    alpha, periodic = _alpha(series, fit, geometric)
+    ns = [s.n for s in series.samples]
+    fit = fit_quasi_polynomial(ns, series.qs(), series.lengths(), d)
+    geometric = fit_geometric_tail(series) if fit is None else None
+    alpha = _alpha(series, fit, geometric)
 
     beta = None
     if alpha.method == "refined_sequence":
@@ -553,18 +466,22 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
             "beta withheld: alpha could not be pinned exactly from the samples"
         )
     else:
-        beta = estimate_beta(series, alpha.extrapolated)
+        limit = None
+        if fit is not None and d >= 1 and isinstance(fit.coefficients[1], Fraction):
+            limit = fit.coefficients[1]
+        elif geometric is not None and geometric.ratio < series.p ** (d - 1):
+            limit = Fraction(0)
+        beta = SecondCoefficient(tuple(_beta_sequence(series, alpha.extrapolated)), limit)
 
-    if alpha.method in ("rational_pin", "refined_sequence"):
-        periodic = detect_periodic_tail(series, [alpha.extrapolated])
     classification = {
-        "polynomial_fit": "polynomial", "geometric_tail": "geometric"
-    }.get(alpha.method, "unclassified" if periodic is None else "periodic")
+        "polynomial_fit": "polynomial",
+        "quasi_polynomial_fit": "periodic",
+        "geometric_tail": "geometric",
+    }.get(alpha.method, "unclassified")
     return AsymptoticReport(
         alpha=alpha,
         beta=beta,
         polynomial_fit=fit,
-        periodic_tail=periodic,
         geometric_tail=geometric,
         tail_classification=classification,
         warnings=tuple(warnings),
@@ -577,14 +494,20 @@ def analyze_module_vs_ring(
     r: int,
 ) -> AsymptoticReport:
     """Analysis of M extended with delta, tau, and the recursion check
-    against the rank-r free comparison; flags alpha(M) vs r*alpha(R)."""
+    against the rank-r free comparison; flags alpha(M) vs r*alpha(R).
+    The limit of tau is the leading coefficient of a verified degree-(d-1)
+    fit of delta_n, when one exists."""
     base = analyze_series(series_m)
     warnings = list(base.warnings)
     deltas = delta_sequence(series_m, series_r, r)
     p, d = series_m.p, series_m.d
-    n_start = series_m.samples[0].n
-    tau = estimate_tau(deltas, p, d, n_start)
-    recursion = check_delta_recursion(deltas, p, d, n_start)
+    ns, qs = [s.n for s in series_m.samples], series_m.qs()
+    tau_fit = fit_quasi_polynomial(ns, qs, deltas, d - 1)
+    tau = SecondCoefficient(
+        tuple(Fraction(dl) / Fraction(q) ** (d - 1) for dl, q in zip(deltas, qs)),
+        None if tau_fit is None else tau_fit.coefficients[0],
+    )
+    recursion = check_delta_recursion(deltas, p, d, ns[0])
     alpha_r = analyze_series(series_r).alpha
     expected = r * alpha_r.extrapolated
     got = base.alpha.extrapolated

@@ -109,7 +109,8 @@ def _bound_dict(bound: BoundCheck) -> dict:
 def _second_coefficient_dict(c: SecondCoefficient | None) -> dict | None:
     if c is None:
         return None
-    return {"sequence": _frac_list(c.sequence), "extrapolated": _frac(c.extrapolated)}
+    limit = None if c.limit is None else _frac(c.limit)
+    return {"sequence": _frac_list(c.sequence), "limit": limit}
 
 
 def _analysis_dict(rep: AsymptoticReport) -> dict:
@@ -122,21 +123,20 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
         },
         "beta": _second_coefficient_dict(rep.beta),
         "polynomial_fit": None,
-        "periodic_tail": None,
         "geometric_tail": None,
         "tail_classification": rep.tail_classification,
     }
-    if rep.polynomial_fit is not None:
+    fit = rep.polynomial_fit
+    if fit is not None:
         out["polynomial_fit"] = {
-            "coefficients": _frac_list(rep.polynomial_fit.coefficients),
-            "status": rep.polynomial_fit.status,
-            "verified_samples": rep.polynomial_fit.verified_samples,
-        }
-    if rep.periodic_tail is not None:
-        out["periodic_tail"] = {
-            "period": rep.periodic_tail.period,
-            "start_n": rep.periodic_tail.start_n,
-            "residues": _frac_list(rep.periodic_tail.residues),
+            "period": fit.period,
+            "start_n": fit.start_n,
+            # a constant, or its values indexed by n mod period
+            "coefficients": [
+                _frac(c) if isinstance(c, Fraction) else _frac_list(c)
+                for c in fit.coefficients
+            ],
+            "spare_samples": fit.spare_samples,
         }
     if rep.geometric_tail is not None:
         out["geometric_tail"] = {

@@ -16,38 +16,51 @@ F = Fraction
 
 
 def test_diagonal_quartic_threefold_lengths_exact(corpus_report):
-    """p=5, x^4+y^4+z^4+w^4: lengths 339 and 43017 exactly, with the
-    q=25 sample finishing in under five minutes."""
+    """p=5, x^4+y^4+z^4+w^4: lengths 1, 339 and 43017 exactly for
+    n = 0..2, with the q=25 sample finishing in under five minutes."""
     report = corpus_report("hanmonsky", "fit")
     assert report["error"] is None
     lengths = [s["length"] for s in report["samples"]]
-    assert lengths[:2] == ["339", "43017"]
+    assert lengths[:3] == ["1", "339", "43017"]
     assert report["timing"]["per_n"]["2"] < 300.0
 
 
 def test_determinantal_ring_lengths_and_exact_fit(corpus_report):
-    """2x3 generic minors at p=2: lengths at q=2,4,8 match the degree-4
-    closed form, the five-sample fit recovers its exact rational
-    coefficients, and the q=8 sample takes under ten minutes."""
+    """2x3 generic minors at p=2: lengths at q=1,2,4,8 match the degree-4
+    closed form, the fit on n = 0..5 recovers its exact rational
+    coefficients with one spare sample, alpha and beta are read off it,
+    and the q=8 sample takes under ten minutes."""
     report = corpus_report("determinantal", "fit")
     assert report["error"] is None
     lengths = [s["length"] for s in report["samples"]]
-    assert lengths[:3] == ["23", "397", "6518"]
-    fit = report["analysis"]["polynomial_fit"]
+    assert lengths[:4] == ["1", "23", "397", "6518"]
+    analysis = report["analysis"]
+    fit = analysis["polynomial_fit"]
     assert fit["coefficients"] == ["13/8", "-1/4", "-1/8", "-1/4", "0"]
-    assert report["analysis"]["alpha"]["extrapolated"] == "13/8"
+    assert (fit["period"], fit["start_n"], fit["spare_samples"]) == (1, 0, 1)
+    assert analysis["alpha"]["extrapolated"] == "13/8"
+    assert analysis["alpha"]["method"] == "polynomial_fit"
+    assert analysis["beta"]["limit"] == "-1/4"
     assert report["timing"]["per_n"]["3"] < 600.0
 
 
 def test_canonical_module_tau_near_half_and_beta_link(corpus_report):
-    """tau of the (u, x) module sits within 0.05 of 1/2, and -tau/2 agrees
-    with beta of the ring to within 0.05."""
-    tau_report = corpus_report("omega", "tau")
+    """tau of the (u, x) module is exactly 1/2: sampled at n = 0..4,
+    delta_n = 1, 5, 34, 260, 2056 has a verified degree-3 fit (one spare
+    sample) with leading coefficient 1/2. beta of the ring is exactly -1/4,
+    and -tau/2 equals it."""
+    rs = hk.ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
+    module = hk.present_submodule(hk.free_module(rs, 1), [["u"], ["x"]])
+    series_m, series_r = hk.sample_hk(
+        hk.maximal_ideal(rs), (module, hk.free_module(rs, 1)), 0, 4
+    )
+    rep = hk.analyze_module_vs_ring(series_m, series_r, 1)
+    assert rep.delta_sequence == (1, 5, 34, 260, 2056)
+    assert rep.tau.limit == F(1, 2)
     ring_report = corpus_report("determinantal", "fit")
-    tau = F(tau_report["analysis"]["tau"]["extrapolated"])
-    assert abs(tau - F(1, 2)) <= F(5, 100)
-    beta = F(ring_report["analysis"]["beta"]["extrapolated"])
-    assert abs(-tau / 2 - beta) <= F(5, 100)
+    beta = F(ring_report["analysis"]["beta"]["limit"])
+    assert beta == F(-1, 4)
+    assert -rep.tau.limit / 2 == beta
 
 
 def test_additive_error_bound_calibrated_at_first_sample(corpus_report):
@@ -65,9 +78,9 @@ def test_additive_error_bound_calibrated_at_first_sample(corpus_report):
 
 def test_quintic_curve_alpha_and_periodic_residues(corpus_report):
     """x^5 +- y^5 for p in {2,3,7}, n <= 8, and p = 2 up to n = 16: every
-    length is Monsky's 5q - r(5 - r) with r = q mod 5, alpha lands within
-    1e-3 of 5, the residual tail has period at most 2, and the residues are
-    exactly {-4, -6} in every characteristic."""
+    length is Monsky's 5q - r(5 - r) with r = q mod 5, and the fit is 5q
+    plus -4 (n even) or -6 (n odd) in every characteristic, so alpha is 5
+    and beta has no limit."""
     for stem in ("monsky_p2", "monsky_p3", "monsky_p7", "monsky_p2_long"):
         report = corpus_report(stem, "fit")
         assert report["error"] is None, stem
@@ -75,17 +88,19 @@ def test_quintic_curve_alpha_and_periodic_residues(corpus_report):
             q = int(s["q"])
             r = q % 5
             assert int(s["length"]) == 5 * q - r * (5 - r), (stem, s["n"])
-        alpha = F(report["analysis"]["alpha"]["extrapolated"])
-        assert abs(alpha - 5) <= F(1, 1000), stem
-        tail = report["analysis"]["periodic_tail"]
-        assert tail is not None, stem
-        assert tail["period"] <= 2, stem
-        assert sorted(F(r) for r in tail["residues"]) == [-6, -4], stem
+        analysis = report["analysis"]
+        assert analysis["alpha"]["extrapolated"] == "5", stem
+        assert analysis["alpha"]["method"] == "quasi_polynomial_fit", stem
+        fit = analysis["polynomial_fit"]
+        assert (fit["period"], fit["start_n"]) == (2, 1), stem
+        assert fit["coefficients"] == ["5", ["-4", "-6"]], stem
+        assert analysis["beta"]["limit"] is None, stem
 
 
 def test_diagonal_quartic_geometric_tail_not_polynomial(corpus_report):
     """The p=5 quartic series admits no exact polynomial fit in q; the
-    two-term geometric shape with ratio 3 is detected instead."""
+    two-term geometric shape with ratio 3 is detected instead, and its
+    ratio below p^2 makes beta 0."""
     report = corpus_report("hanmonsky", "fit")
     analysis = report["analysis"]
     assert analysis["polynomial_fit"] is None
@@ -94,6 +109,7 @@ def test_diagonal_quartic_geometric_tail_not_polynomial(corpus_report):
     assert tail["ratio"] == 3
     assert tail["coefficient"] == "-107/61"
     assert tail["leading"] == "168/61"
+    assert analysis["beta"]["limit"] == "0"
 
 
 def test_engine_agrees_with_oracle_on_200_random_instances():

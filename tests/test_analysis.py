@@ -11,32 +11,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hilbertkunz as hk
 import hilbertkunz.analysis as analysis
 from conftest import load_problem
 from hilbertkunz import (
-    AsymptoticReport,
     GeometricTail,
     HKSample,
     HKSeries,
-    PolynomialFit,
     analyze_module_vs_ring,
     analyze_series,
     bounded_by_power,
     check_delta_recursion,
     delta_sequence,
-    detect_periodic_tail,
-    estimate_beta,
-    estimate_tau,
     fit_geometric_tail,
-    fit_polynomial,
-    geometric_accelerate,
+    fit_quasi_polynomial,
     sample_hk,
 )
-from hilbertkunz.analysis import _alpha, _expansion
+from hilbertkunz.analysis import _alpha, _beta_sequence
 from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import (
     InsufficientSamples,
@@ -77,13 +71,24 @@ def quartic_surface_lengths(n_max: int) -> list[int]:
     return [(168 * 125**n - 107 * 3**n) // 61 for n in range(1, n_max + 1)]
 
 
-def minors_lengths(n_max: int) -> list[int]:
+def minors_lengths(n_max: int, n_min: int = 1) -> list[int]:
     # (13q^4 - 2q^3 - q^2 - 2q)/8 at p = 2
     out = []
-    for n in range(1, n_max + 1):
+    for n in range(n_min, n_max + 1):
         q = 2**n
         out.append((13 * q**4 - 2 * q**3 - q**2 - 2 * q) // 8)
     return out
+
+
+def fit_of(series: HKSeries):
+    """The quasi-polynomial fit of a series' lengths at degree d."""
+    ns = [s.n for s in series.samples]
+    return fit_quasi_polynomial(ns, series.qs(), series.lengths(), series.d)
+
+
+def coefficient_at(c, n: int) -> Fraction:
+    """A fit coefficient at n: the constant, or its residue n mod period."""
+    return c if isinstance(c, Fraction) else c[n % len(c)]
 
 
 # -- series container ------------------------------------------------------
@@ -111,95 +116,117 @@ def test_series_rejects_an_ideal_or_module_over_another_ring():
         HKSeries(f3, hk.maximal_ideal(f3), hk.free_module(f2, 1), 2, samples)
 
 
-# -- polynomial fits -------------------------------------------------------
+# -- quasi-polynomial fits -------------------------------------------------
 
 
 def test_fit_unverified_without_spare_samples():
-    ser = make_series(minors_lengths(5), p=2, d=4)
-    fit = fit_polynomial(ser)
-    assert fit is not None
-    assert fit.coefficients == (F(13, 8), F(-1, 4), F(-1, 8), F(-1, 4), F(0))
-    assert fit.status == "unverified"
-    assert fit.verified_samples == 0
+    """Five samples fix the five coefficients of the degree-4 minors
+    formula with no sample spare, so no fit is claimed."""
+    assert fit_of(make_series(minors_lengths(5), p=2, d=4)) is None
 
 
 def test_fit_verified_with_spare_sample():
-    ser = make_series(minors_lengths(6), p=2, d=4)
-    fit = fit_polynomial(ser)
-    assert fit.status == "verified"
-    assert fit.verified_samples == 1
+    fit = fit_of(make_series(minors_lengths(6), p=2, d=4))
+    assert (fit.period, fit.start_n, fit.spare_samples) == (1, 1, 1)
     assert fit.coefficients == (F(13, 8), F(-1, 4), F(-1, 8), F(-1, 4), F(0))
 
 
 def test_fit_rejected_when_spare_sample_disagrees():
     lengths = minors_lengths(6)
     lengths[-1] += 1
-    assert fit_polynomial(make_series(lengths, p=2, d=4)) is None
+    assert fit_of(make_series(lengths, p=2, d=4)) is None
+    lengths = minors_lengths(6)
+    lengths[0] += 1
+    assert fit_of(make_series(lengths, p=2, d=4)) is None
 
 
 def test_fit_needs_d_plus_one_samples():
-    with pytest.raises(InsufficientSamples):
-        fit_polynomial(make_series(minors_lengths(4), p=2, d=4))
+    assert fit_of(make_series(minors_lengths(4), p=2, d=4)) is None
 
 
 def test_evaluate_fit_reproduces_sample():
-    fit = fit_polynomial(make_series(minors_lengths(6), p=2, d=4))
-    assert _expansion(fit.coefficients, 32, 4) == 1695608
-    assert _expansion(fit.coefficients, 2, 4) == 23
+    fit = fit_of(make_series(minors_lengths(6), p=2, d=4))
+    assert sum(c * 32 ** (4 - i) for i, c in enumerate(fit.coefficients)) == 1695608
+    assert sum(c * 2 ** (4 - i) for i, c in enumerate(fit.coefficients)) == 23
 
 
 def test_fit_is_not_faked_for_periodic_data():
-    """The quintic lengths are not polynomial in q; the fit must refuse."""
-    ser = make_series(quintic_lengths(2, 8), p=2, d=1)
-    assert fit_polynomial(ser) is None
+    """The quintic lengths are not polynomial in q: no period-1 fit is
+    claimed, only the period-2 one."""
+    fit = fit_of(make_series(quintic_lengths(2, 8), p=2, d=1))
+    assert fit.period == 2
 
 
-# -- periodic tails --------------------------------------------------------
+def test_one_spare_sample_confirms_only_a_polynomial_from_the_first_sample():
+    """8q plus 1, -1, -5 by n mod 3: a line through n = 6..8 has one spare
+    sample (n = 6) but does not reach n = 1, so it is refused and the
+    period-3 fit, with four spare samples, is found instead."""
+    lengths = [15, 27, 65, 127, 251, 513, 1023, 2043]
+    fit = fit_of(make_series(lengths, p=2, d=1))
+    assert fit.coefficients == (F(8), (F(1), F(-1), F(-5)))
+    assert (fit.period, fit.start_n, fit.spare_samples) == (3, 1, 4)
+    # a period-2 shape solved on the last three samples with one spare
+    assert fit_of(make_series(quintic_lengths(2, 4), p=2, d=1)) is None
+    assert fit_of(make_series(quintic_lengths(2, 5), p=2, d=1)).spare_samples == 2
+    # a line from n = 2 on, one spare sample, an off-shape n = 1
+    assert fit_of(make_series([9, 3 * 4 + 7, 3 * 8 + 7, 3 * 16 + 7], p=2, d=1)) is None
+
+
+# -- periodic coefficients -------------------------------------------------
 
 
 def test_periodic_tail_of_quintic():
-    ser = make_series(quintic_lengths(2, 8), p=2, d=1)
-    tail = detect_periodic_tail(ser, [F(5)])
-    assert tail is not None
-    assert tail.period == 2
-    assert tail.residues == (F(-4), F(-6))  # indexed by n mod 2
-    assert tail.start_n == 1
+    fit = fit_of(make_series(quintic_lengths(2, 8), p=2, d=1))
+    assert fit.period == 2
+    assert fit.coefficients == (F(5), (F(-4), F(-6)))  # indexed by n mod 2
+    assert (fit.start_n, fit.spare_samples) == (1, 5)
 
 
 def test_periodic_tail_constant_residual_is_period_one():
     lengths = [3 * 2**n + 7 for n in range(1, 5)]
-    tail = detect_periodic_tail(make_series(lengths, p=2, d=1), [F(3)])
-    assert tail.period == 1
-    assert tail.residues == (F(7),)
+    fit = fit_of(make_series(lengths, p=2, d=1))
+    assert fit.period == 1
+    assert fit.coefficients == (F(3), F(7))
 
 
 def test_periodic_tail_absent_for_drifting_residual():
     lengths = [3 * 2**n + n for n in range(1, 7)]
-    assert detect_periodic_tail(make_series(lengths, p=2, d=1), [F(3)]) is None
+    assert fit_of(make_series(lengths, p=2, d=1)) is None
 
 
 def test_periodic_tail_needs_two_samples():
-    with pytest.raises(InsufficientSamples):
-        detect_periodic_tail(make_series([4], p=2, d=1), [F(5)])
+    assert fit_quasi_polynomial([1], [2], [4], 1) is None
+    assert fit_quasi_polynomial([], [], [], 1) is None
+
+
+def test_fit_tail_starts_after_off_shape_samples():
+    """Two off-shape leading samples: the fit starts at n = 3 and names
+    its spare samples among the rest."""
+    lengths = quintic_lengths(3, 8)
+    lengths[0] += 1
+    lengths[1] -= 2
+    fit = fit_of(make_series(lengths, p=3, d=1))
+    assert fit.coefficients == (F(5), (F(-4), F(-6)))
+    assert (fit.start_n, fit.spare_samples) == (3, 3)
 
 
 # -- geometric tails -------------------------------------------------------
 
 
 def test_geometric_tail_exact():
-    ser = make_series(quartic_surface_lengths(3), p=5, d=3)
+    ser = make_series(quartic_surface_lengths(4), p=5, d=3)
     tail = fit_geometric_tail(ser)
     assert tail == GeometricTail(F(168, 61), F(-107, 61), 3)
 
 
 def test_geometric_tail_rejects_zero_coefficient():
     # 5q over p=3: the only candidate ratio r=2 solves with c=0
-    ser = make_series([5 * 3**n for n in range(1, 4)], p=3, d=1)
+    ser = make_series([5 * 3**n for n in range(1, 5)], p=3, d=1)
     assert fit_geometric_tail(ser) is None
 
 
 def test_geometric_tail_smallest_ratio_wins():
-    lengths = [2 * 5**n + 3**n for n in range(1, 4)]
+    lengths = [2 * 5**n + 3**n for n in range(1, 5)]
     tail = fit_geometric_tail(make_series(lengths, p=5, d=1))
     assert tail == GeometricTail(F(2), F(1), 3)
 
@@ -208,11 +235,20 @@ def test_geometric_tail_needs_three_samples():
     assert fit_geometric_tail(make_series([339, 43017], p=5, d=3)) is None
 
 
+def test_geometric_tail_needs_a_fourth_sample():
+    """Three samples fix a, c and r and are reproduced by construction,
+    so an integral ratio on them is no evidence: the fourth is the spare."""
+    lengths = [2 * 5**n + 3**n for n in range(1, 5)]
+    assert fit_geometric_tail(make_series(lengths[:3], p=5, d=1)) is None
+    assert fit_geometric_tail(make_series(quartic_surface_lengths(3), p=5, d=3)) is None
+    assert fit_geometric_tail(make_series(lengths, p=5, d=1)) is not None
+
+
 def search_geometric_tail(series):
     """Reference: try every ratio 2 <= r < p^d in turn, solve a, c on the
     first two samples, keep the smallest r that reproduces the rest."""
     samples = series.samples
-    if len(samples) < 3:
+    if len(samples) < 4:
         return None
     d = series.d
     s1, s2 = samples[0], samples[1]
@@ -274,50 +310,55 @@ def test_geometric_tail_large_p_returns_at_once():
 
 def test_alpha_pinned_by_periodicity():
     ser = make_series(quintic_lengths(2, 8), p=2, d=1)
-    alpha = _alpha(ser, None, None)[0]
+    alpha = _alpha(ser, fit_of(ser), None)
     assert alpha.extrapolated == F(5)
-    assert alpha.method == "periodic_pin"
+    assert alpha.method == "quasi_polynomial_fit"
     assert alpha.raw[-1] == F(1276, 256)
 
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_alpha_pinned_for_other_characteristics(p):
     ser = make_series(quintic_lengths(p, 8), p=p, d=1)
-    alpha = _alpha(ser, None, None)[0]
+    alpha = _alpha(ser, fit_of(ser), None)
     assert alpha.extrapolated == F(5)
-    assert alpha.method == "periodic_pin"
+    assert alpha.method == "quasi_polynomial_fit"
 
 
 def test_alpha_prefers_verified_fit():
     ser = make_series(minors_lengths(6), p=2, d=4)
-    fit = fit_polynomial(ser)
     fake_geometric = GeometricTail(F(99), F(1), 3)
-    alpha = _alpha(ser, fit, fake_geometric)[0]
+    alpha = _alpha(ser, fit_of(ser), fake_geometric)
     assert alpha.method == "polynomial_fit"
     assert alpha.extrapolated == F(13, 8)
 
 
 def test_alpha_ignores_unverified_fit():
-    ser = make_series(quartic_surface_lengths(3), p=5, d=3)
-    unverified = PolynomialFit((F(99), F(0), F(0), F(0)), "unverified", 0)
-    alpha = _alpha(ser, unverified, fit_geometric_tail(ser))[0]
+    """Four samples fix the four coefficients of a cubic with none spare,
+    so there is no fit, and the geometric tail fixes alpha."""
+    ser = make_series(quartic_surface_lengths(4), p=5, d=3)
+    assert fit_of(ser) is None
+    alpha = _alpha(ser, None, fit_geometric_tail(ser))
     assert alpha.method == "geometric_tail"
     assert alpha.extrapolated == F(168, 61)
 
 
-def test_alpha_rational_pin_on_polynomial_data_without_spare():
-    """Five samples of the degree-4 minors formula: the fit exists but is
-    unverified, the tail is neither geometric nor periodic, and the
-    beta-residual test still pins alpha = 13/8 exactly."""
-    ser = make_series(minors_lengths(5), p=2, d=4)
-    alpha = _alpha(ser, fit_polynomial(ser), fit_geometric_tail(ser))[0]
-    assert alpha.method == "rational_pin"
-    assert alpha.extrapolated == F(13, 8)
+def test_alpha_unpinned_on_polynomial_data_without_spare():
+    """Five samples of the degree-4 minors formula leave alpha an estimate
+    and beta withheld; the n = 0 sample is the spare that verifies the
+    fit, with alpha 13/8 and beta -1/4."""
+    rep = analyze_series(make_series(minors_lengths(5), p=2, d=4))
+    assert rep.alpha.method == "refined_sequence"
+    assert rep.alpha.extrapolated != F(13, 8)
+    assert rep.beta is None
+    rep = analyze_series(make_series(minors_lengths(5, 0), p=2, d=4, n_start=0))
+    assert rep.alpha.method == "polynomial_fit"
+    assert rep.alpha.extrapolated == F(13, 8)
+    assert rep.beta.limit == F(-1, 4)
 
 
 def test_alpha_falls_back_to_refined_sequence():
     ser = make_series([7, 15], p=2, d=1)
-    alpha = _alpha(ser, None, None)[0]
+    alpha = _alpha(ser, None, None)
     assert alpha.method == "refined_sequence"
     assert alpha.extrapolated == F(4)  # (15 - 7)/2
 
@@ -330,24 +371,28 @@ def test_alpha_needs_two_samples():
 # -- beta ------------------------------------------------------------------
 
 
-def test_beta_sequence_and_acceleration():
-    ser = make_series(minors_lengths(6), p=2, d=4)
-    beta = estimate_beta(ser, F(13, 8))
-    # beta_n = -1/4 - 1/(8q) - 1/(4q^2); one acceleration step cancels 1/q
-    assert beta.sequence[0] == F(-1, 4) - F(1, 16) - F(1, 16)
-    assert abs(beta.extrapolated + F(1, 4)) < F(1, 1000)
+def test_beta_sequence_and_limit_from_the_fit():
+    rep = analyze_series(make_series(minors_lengths(6), p=2, d=4))
+    # beta_n = -1/4 - 1/(8q) - 1/(4q^2); the fit's q^3 coefficient is -1/4
+    assert rep.beta.sequence[0] == F(-1, 4) - F(1, 16) - F(1, 16)
+    assert rep.beta.limit == F(-1, 4)
 
 
 def test_beta_shift_under_wrong_alpha():
     # an alpha off by 1/8 shifts beta_n by q/8, visible immediately
     ser = make_series(minors_lengths(6), p=2, d=4)
-    bad = estimate_beta(ser, F(13, 8) + F(1, 8))
-    assert abs(bad.sequence[-1]) > 1
+    assert abs(_beta_sequence(ser, F(13, 8) + F(1, 8))[-1]) > 1
 
 
-def test_geometric_accelerate_cancels_inverse_q():
-    seq = [F(3) + F(1, 2**n) for n in range(1, 5)]
-    assert geometric_accelerate(seq, 2) == [F(3), F(3), F(3)]
+def test_beta_limit_only_from_a_shape_that_fixes_it():
+    """A geometric ratio below p^{d-1} gives beta 0; a periodic q^{d-1}
+    coefficient gives the sequence and no limit."""
+    rep = analyze_series(make_series(quartic_surface_lengths(4), p=5, d=3))
+    assert rep.beta.limit == 0
+    assert rep.beta.sequence[-1] == F(-107, 61) * F(3, 25) ** 4
+    rep = analyze_series(make_series(quintic_lengths(2, 8), p=2, d=1))
+    assert rep.beta.limit is None
+    assert rep.beta.sequence[:2] == (F(-6), F(-4))
 
 
 # -- delta, tau, recursion -------------------------------------------------
@@ -385,14 +430,23 @@ def test_delta_sequence_rejects_different_ideal():
 
 
 def test_tau_estimate():
-    tau = estimate_tau([5, 34, 260], p=2, d=4)
+    """Three deltas fix no degree-3 fit, so tau has no limit; from n = 0
+    to 4, delta_n = q^3/2 + q/2 with one spare sample gives tau = 1/2."""
+    m, r = canonical_vs_ring()
+    tau = analyze_module_vs_ring(m, r, 1).tau
     assert tau.sequence == (F(5, 8), F(17, 32), F(65, 128))
-    assert tau.extrapolated == F(31, 64)
+    assert tau.limit is None
+    m = make_series([2, 28, 431, 6778, 107492], p=2, d=4, n_start=0)
+    r = make_series([1, 23, 397, 6518, 105436], p=2, d=4, n_start=0)
+    rep = analyze_module_vs_ring(m, r, 1)
+    assert rep.delta_sequence == (1, 5, 34, 260, 2056)
+    assert rep.tau.limit == F(1, 2)
 
 
 def test_tau_needs_two_deltas():
+    m = make_series([28], p=2, d=4)
     with pytest.raises(InsufficientSamples):
-        estimate_tau([5], p=2, d=4)
+        analyze_module_vs_ring(m, m, 1)
 
 
 def test_delta_recursion_passes_for_canonical_deltas():
@@ -424,27 +478,26 @@ def test_bounded_by_power_calibrates_on_first_half():
 def test_analyze_polynomial_series():
     rep = analyze_series(make_series(minors_lengths(6), p=2, d=4))
     assert rep.tail_classification == "polynomial"
-    assert rep.polynomial_fit.status == "verified"
+    assert (rep.polynomial_fit.period, rep.polynomial_fit.spare_samples) == (1, 1)
     assert rep.alpha.method == "polynomial_fit"
-    assert rep.beta is not None
+    assert rep.beta.limit == F(-1, 4)
     assert rep.geometric_tail is None
-    assert rep.periodic_tail is None
 
 
 def test_analyze_periodic_series():
     rep = analyze_series(make_series(quintic_lengths(2, 8), p=2, d=1))
     assert rep.tail_classification == "periodic"
     assert rep.alpha.extrapolated == F(5)
-    assert rep.periodic_tail.period == 2
-    assert rep.polynomial_fit is None  # exact fit refused on periodic data
+    assert rep.alpha.method == "quasi_polynomial_fit"
+    assert rep.polynomial_fit.period == 2
 
 
 def test_analyze_geometric_series():
-    rep = analyze_series(make_series(quartic_surface_lengths(3), p=5, d=3))
+    rep = analyze_series(make_series(quartic_surface_lengths(4), p=5, d=3))
     assert rep.tail_classification == "geometric"
     assert rep.geometric_tail.ratio == 3
     assert rep.alpha.extrapolated == F(168, 61)
-    assert rep.polynomial_fit is None  # 3 samples cannot carry a cubic fit
+    assert rep.polynomial_fit is None  # 4 samples leave a cubic no spare
 
 
 def test_analyze_withholds_beta_without_pinned_alpha():
@@ -455,29 +508,31 @@ def test_analyze_withholds_beta_without_pinned_alpha():
 
 
 def test_two_samples_claim_no_periodic_tail():
-    """The refined anchor (15 - 7)/(4 - 2) = 4 leaves the residuals
-    7 - 8 = 15 - 16 = -1 by construction, which is no evidence of a
-    period: the series stays unclassified."""
+    """Two samples fix a line in q with no sample spare, which is no
+    evidence of any shape: the series stays unclassified."""
     rep = analyze_series(make_series([7, 15], p=2, d=1))
-    assert rep.periodic_tail is None
+    assert rep.polynomial_fit is None
     assert rep.tail_classification == "unclassified"
 
 
-def test_periodic_pin_needs_a_spare_sample():
-    """The anchor (100 - 40)/(16 - 8) = 15/2 leaves the last two residuals
-    40 - 60 = 100 - 120 = -20 by construction: no period is shown, and
-    alpha is not pinned by periodicity."""
-    rep = analyze_series(make_series([7, 15, 40, 100], p=2, d=1))
-    assert rep.alpha.method == "rational_pin"
-    assert rep.periodic_tail is None
+def test_periodic_fit_needs_two_spare_samples():
+    """The quintic's period-2 shape has three unknowns. On n = 1..4 it has
+    one spare sample, which confirms only a polynomial; on n = 1..5 it has
+    two."""
+    rep = analyze_series(make_series(quintic_lengths(2, 4), p=2, d=1))
+    assert rep.alpha.method == "refined_sequence"
+    assert rep.polynomial_fit is None
     assert rep.tail_classification == "unclassified"
+    rep = analyze_series(make_series(quintic_lengths(2, 5), p=2, d=1))
+    assert rep.alpha.method == "quasi_polynomial_fit"
+    assert rep.polynomial_fit.coefficients == (F(5), (F(-4), F(-6)))
 
 
 def test_analyze_module_vs_ring_fields():
     m, r = canonical_vs_ring()
     rep = analyze_module_vs_ring(m, r, 1)
     assert rep.delta_sequence == (5, 34, 260)
-    assert rep.tau.extrapolated == F(31, 64)
+    assert rep.tau.limit is None
     assert rep.delta_recursion.residuals == (-6, -12)
     assert rep.delta_recursion.bound.verdict is True
 
@@ -492,66 +547,63 @@ def test_analyze_module_vs_ring_flags_rank_mismatch():
 
 def test_ring_alpha_follows_the_analysis_rule():
     """alpha(R) comes from the same rule as alpha(M): the ring series
-    q^2/4 + 4q + 15 has a verified fit with alpha 1/4, where the rational
-    pin alone picks 1/7."""
+    q^2/4 + 4q + 15 has a verified fit with alpha 1/4, where the refined
+    sequence alone ends at 17/128."""
     ring_series = make_series([24, 35, 63, 143], p=2, d=2)
-    assert _alpha(ring_series, None, None)[0].extrapolated == F(1, 7)
+    assert _alpha(ring_series, None, None).extrapolated == F(17, 128)
     rep = analyze_module_vs_ring(ring_series, ring_series, 1)
     assert rep.alpha.extrapolated == F(1, 4)
     assert not any("deviates" in w for w in rep.warnings)
 
 
-def test_fit_reuses_the_pinned_periodic_tail(monkeypatch):
-    """The periodic pin's tail is the report's tail: a fit of the quintic
-    at p = 7 searches for it once, not a second time for the report."""
+def test_fit_solves_each_shape_once(monkeypatch):
+    """A fit of the quintic at p = 7 solves two shapes, the line and the
+    period-2 shape, each on its last samples only."""
     calls = []
-    detect = analysis.detect_periodic_tail
+    solve = analysis._solve_exact
 
-    def counting(*args):
-        calls.append(args)
-        return detect(*args)
+    def counting(matrix, rhs):
+        calls.append(len(matrix))
+        return solve(matrix, rhs)
 
-    monkeypatch.setattr(analysis, "detect_periodic_tail", counting)
+    monkeypatch.setattr(analysis, "_solve_exact", counting)
     report = run_problem("fit", load_problem("monsky_p7"))
     assert report["analysis"]["tail_classification"] == "periodic"
-    assert len(calls) == 1
+    assert calls == [2, 3]
 
 
-def ladder_reference(series: HKSeries) -> AsymptoticReport:
-    """analyze_series assembled from the public pieces, deciding the tail
-    class from the fit and the geometric tail and searching the periodic
-    tail afresh, as the report did before the ladder was shared."""
-    fit = None
-    if len(series.samples) >= series.d + 1:
-        fit = fit_polynomial(series)
-    geometric = None
-    if fit is None or fit.status != "verified":
-        geometric = fit_geometric_tail(series)
-    alpha = _alpha(series, fit, geometric)[0]
-    beta, warnings = None, ()
-    if alpha.method == "refined_sequence":
-        warnings = ("beta withheld: alpha could not be pinned exactly from the samples",)
-    else:
-        beta = estimate_beta(series, alpha.extrapolated)
-    periodic = None
-    if fit is not None and fit.status == "verified":
-        classification = "polynomial"
+def labelled_values_hold(series: HKSeries, rep) -> None:
+    """Every shape the report names reproduces the samples it claims, and
+    alpha and the beta limit are read off that shape."""
+    d, p = series.d, series.p
+    fit, geometric = rep.polynomial_fit, rep.geometric_tail
+    if fit is not None:
+        assert rep.alpha.extrapolated == fit.coefficients[0]
+        assert fit.spare_samples >= (1 if fit.period == 1 else 2)
+        for s in series.samples:
+            if s.n >= fit.start_n:
+                value = sum(
+                    coefficient_at(c, s.n) * s.q ** (d - i)
+                    for i, c in enumerate(fit.coefficients)
+                )
+                assert value == s.length
+        beta_limit = fit.coefficients[1]
+        assert rep.beta.limit == (beta_limit if isinstance(beta_limit, F) else None)
     elif geometric is not None:
-        classification = "geometric"
+        assert rep.alpha.extrapolated == geometric.leading
+        for s in series.samples:
+            assert geometric.leading * s.q**d + geometric.coefficient * geometric.ratio**s.n == s.length
+        assert rep.beta.limit == (0 if geometric.ratio < p ** (d - 1) else None)
     else:
-        if len(series.samples) > 2:
-            periodic = detect_periodic_tail(series, [alpha.extrapolated])
-        classification = "periodic" if periodic is not None else "unclassified"
-    return AsymptoticReport(
-        alpha, beta, fit, periodic, geometric, classification, warnings=warnings
-    )
+        assert rep.alpha.method == "refined_sequence"
+        assert rep.beta is None
 
 
 @st.composite
 def ladder_series(draw):
-    """Series that reach every rung of the ladder: polynomial in q (with
-    and without spare samples), quintic-like e*q^d plus a periodic
-    residue, a*q^d + c*r^n, each optionally bumped on one sample."""
+    """Series that reach every shape: polynomial in q (with and without
+    spare samples), quintic-like e*q^d plus a periodic residue,
+    a*q^d + c*r^n, each optionally bumped on one sample."""
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(1, 2))
     n_start = draw(st.integers(0, 2))
@@ -577,7 +629,65 @@ def ladder_series(draw):
 @settings(max_examples=300, deadline=None)
 @given(ladder_series())
 def test_analyze_series_equals_the_assembled_pieces(ser):
-    assert analyze_series(ser) == ladder_reference(ser)
+    """The report names the fit, else the geometric tail, else no shape,
+    and every value it labels exact holds on the samples."""
+    rep = analyze_series(ser)
+    fit = fit_of(ser)
+    assert rep.polynomial_fit == fit
+    assert rep.geometric_tail == (None if fit is not None else fit_geometric_tail(ser))
+    labelled_values_hold(ser, rep)
+
+
+@st.composite
+def quasi_polynomial_series(draw):
+    """(p, d, n_start, coefficients, lengths): l_n = sum_i c_i(n) q^{d-i}
+    in the "R1" shape (c_d, c_(d-1) constant) or the "any" shape (c_d
+    constant), the other coefficients of period 1, 2 or 3, each listed as
+    its values by n mod its period. Up to two leading samples are moved
+    off the shape, and at least the shape's unknowns + 2 samples follow
+    them, so the samples identify the shape."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    period = draw(st.integers(1, 3))
+    constant = 2 if draw(st.booleans()) else 1
+    periods = [1] * constant + [period] * (d + 1 - constant)
+    coefficients = [
+        tuple(draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)))
+        for size in periods
+    ]
+    coefficients[0] = (draw(st.integers(1, 9)),)
+    off = draw(st.integers(0, 2))
+    count = off + sum(periods) + 2 + draw(st.integers(0, 2))
+    n_start = draw(st.integers(0, 2))
+    lengths = [
+        sum(c[n % len(c)] * p ** (n * (d - i)) for i, c in enumerate(coefficients))
+        for n in range(n_start, n_start + count)
+    ]
+    for i in range(off):
+        lengths[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return p, d, n_start, tuple(coefficients), lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(quasi_polynomial_series())
+@example((2, 1, 1, ((8,), (1, -1, -5)), [15, 27, 65, 127, 251, 513, 1023, 2043]))
+def test_every_value_labelled_exact_is_the_drawn_one(case):
+    """The fit's coefficients equal the drawn ones at every n from its
+    start on, and so do alpha and beta's limit in the report. The example
+    is 8q plus 1, -1, -5 by n mod 3, where a line through n = 6..8 has
+    one spare sample and alpha 255/32."""
+    p, d, n_start, coefficients, lengths = case
+    ser = make_series(lengths, p=p, d=d, n_start=n_start)
+    fit = fit_of(ser)
+    if fit is not None:
+        for n in range(fit.start_n, fit.start_n + 60):
+            for c, truth in zip(fit.coefficients, coefficients):
+                assert coefficient_at(c, n) == truth[n % len(truth)]
+    rep = analyze_series(ser)
+    if rep.alpha.method != "refined_sequence":
+        assert rep.alpha.extrapolated == coefficients[0][0]
+    if rep.beta is not None and rep.beta.limit is not None:
+        assert set(coefficients[1]) == {rep.beta.limit}
 
 
 # -- sampling --------------------------------------------------------------
@@ -739,11 +849,11 @@ def test_readme_library_example_runs_as_documented():
     for line in code.splitlines():
         expr, _, comment = line.partition("#")
         if comment and "=" not in expr:
-            value = eval(comment, {"Fraction": F, "PeriodicTail": hk.PeriodicTail})
+            value = eval(comment, {"Fraction": F, "QuasiPolynomialFit": hk.QuasiPolynomialFit})
             assert eval(expr, namespace) == value, line
             shown += 1
     assert shown == 3
     assert namespace["series"].lengths() == [4, 16, 34, 76, 154, 316, 634, 1276]
     report = namespace["report"]
     assert report.alpha.extrapolated == 5
-    assert report.periodic_tail == hk.PeriodicTail(2, 1, (F(-4), F(-6)))
+    assert report.polynomial_fit == hk.QuasiPolynomialFit(2, 1, (F(5), (F(-4), F(-6))), 5)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,9 @@ def test_a_first_sample_failure_reports_its_cause(monkeypatch):
     import hilbertkunz.groebner as groebner
 
     monkeypatch.setattr(groebner, "MAX_BASIS", 10)
-    report = run_problem("compute", load_problem("determinantal"))
+    # from n = 1 on: the corpus's n = 0 sample fits in ten basis elements
+    pf = replace(load_problem("determinantal"), n_min=1)
+    report = run_problem("compute", pf)
     assert report["error"] == {
         "type": "ResourceLimit",
         "message": "no samples completed within the time budget; "

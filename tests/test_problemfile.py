@@ -249,4 +249,4 @@ def test_corpus_files_parse():
     assert len(stems) == 9
     for stem in stems:
         pf = parse_problem((CORPUS / f"{stem}.hk").read_text())
-        assert pf.n_min >= 1
+        assert 0 <= pf.n_min < pf.n_max
