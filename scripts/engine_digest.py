@@ -6,7 +6,10 @@
 Runs each (stem, subcommand) of regen_fixtures.RUNS with groebner._engine,
 groebner._PairUpdate.pop and groebner._count_box wrapped, and hashes each
 engine run's elements (the monic term lists, in the order the run created
-them). Prints
+them, each term decoded by groebner._Keys.decode back to the tuple
+(key, comp, exps, coeff) the engine used before its keys were ints, with
+key = (comp, *ring.order.key(exps)), so the hash stays comparable across
+that change). Prints
 
     engine runs N, heap pops P, pairs Q, sha256 H, count nodes C
 
@@ -42,7 +45,12 @@ def main() -> None:
         red = engine(*args, **kwargs)
         runs += 1
         pops += red.steps
-        digest.update(repr(red.elements).encode())
+        decode, order = red.keys.decode, red.ring.order
+        elements = [
+            [((j, *order.key(e)), j, e, c) for (j, e), c in ((decode(K), c) for K, c in terms)]
+            for terms in red.elements
+        ]
+        digest.update(repr(elements).encode())
         return red
 
     def counted(update):

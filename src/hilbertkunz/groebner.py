@@ -1,23 +1,19 @@
 """Buchberger engine for ideals and submodules of free F_p[x]-modules.
 
-Everything below works on one uniform representation: a term is a
-(component, exponents) pair, an element is a list of terms with precomputed
-order keys, sorted leading-first. Rank 1 recovers the ideal case. There is
-one module order: position over term, so the earlier component is larger
-and the ring's monomial order breaks ties. Keys obey
-key(m*t) == key(m) + key(t) componentwise, with the multiplier m keyed in
-component 0, which lets reductions derive keys by tuple addition instead
-of recomputing them.
+An element is a list of terms (K, coeff), leading first, where the int K
+keys the term's (component, exponents) pair (_Keys); rank 1 is the ideal
+case. The one module order is position over term: the earlier component
+is larger, and the ring's order breaks ties. Int order on keys is that
+order, and multiplying by a monomial adds its key, so the reducer's heap
+and work dict hold ints and a reduction step is one addition. Terms are
+keyed on input and decoded on output only.
 
-Divisibility and lcm, the inner operations of the divisor scan, the pair
-update and the count, run on packed exponent vectors (_Packing): one int
-per vector, each variable a field of w bits with a guard bit above it.
-Then a | b is one subtraction and one mask, and lcm a few more, whatever
-the number of variables. The width comes from the input's largest
-exponent; a lead that outgrows it makes the engine re-pack at a wider w.
-A basis loaded for normal forms takes the width of its leads, and a
-reduced term with a wider field is clamped. The tuple helpers in poly.py
-stay the reference.
+Divisibility and lcm run on packed exponent vectors, one int each, every
+variable a field with a guard bit above it: a | b is one subtraction and
+a mask. The divisor scan reads the fields straight out of the keys; the
+pair update and the count pack at a width from the largest exponent
+(_Packing), and a lead that outgrows it re-packs the pair update. The
+tuple helpers in poly.py stay the reference.
 
 The pair update (_PairUpdate) goes one step further and works on whole
 components: each component's leads, and the lcms of its queued pairs,
@@ -28,12 +24,10 @@ that holds nothing live has its top bit set in a second int, the dead
 bits, which keep it out of every answer. The update also owns the queue
 of S-pairs: a queued pair is live exactly while it owns its slot.
 
-Two single-term elements are never paired: their S-vector is zero. A new
-single-term element is paired only with the live elements of its
-component that have a tail, read off the back of _Reducer.live. Over the
-Frobenius powers of the model rings almost every basis element is a
+Two single-term elements are never paired: their S-vector is zero. Over
+the Frobenius powers of the model rings almost every basis element is a
 single term (1,122 of 1,125 for the determinantal ring at q = 32), so
-this skips nearly every round of criteria M and F.
+this skips nearly every round of criteria M and F (_tailed_pairs).
 """
 
 from __future__ import annotations
@@ -44,7 +38,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain
 from math import prod
-from operator import add, lshift, sub
+from operator import lshift, sub
+from struct import Struct, error as StructError
 
 from .errors import (
     HilbertKunzError,
@@ -63,6 +58,7 @@ from .poly import (
 )
 
 MAX_BASIS = 200_000
+MAX_TERMS = 500_000
 COUNT_NODE_LIMIT = 2_000_000
 
 
@@ -134,39 +130,76 @@ class GroebnerBasis:
 # -- engine ------------------------------------------------------------------
 
 
-def _term_key(order: MonomialOrder, comp: int, exps: Exponents):
-    """Position-over-term key: the earlier component is larger, and the
-    ring's order breaks ties. The key of a multiplier is its key in
-    component 0."""
-    return (comp, *order.key(exps))
+FIELD = 32  # bits per exponent in a term key, the top one a guard bit
+PAST_CAP = f"an exponent reached the term keys' cap 2^{FIELD - 1}"
 
 
-def _element_terms(e: FreeElement):
-    """[(key, comp, exps, coeff), ...] leading-first: the components in
-    order, each leading-first, is position over term."""
-    order = e.ring.order
-    return [
-        (_term_key(order, j, exps), j, exps, c)
-        for j, poly in enumerate(e.components)
-        for exps, c in poly.terms
-    ]
+class _Keys:
+    """Term keys as ints, for one number of variables and one order.
+
+    K(comp, e) is comp·2^cshift + base plus a FIELD-bit field per variable.
+    Under grevlex e_1 takes the lowest field, e_v the highest and
+    OFF - deg(e) the bits above (OFF = v·2^FIELD); under lex e_1 takes the
+    highest field, and each holds 2^FIELD - 1 - e_i. So int order is
+    position over term, smaller more leading, and multiplying by m adds
+    K(0, m) - K(0, 1): a reduction step is target = tK + (K - K_lead).
+
+    The divisor bits (K ^ flip) & low hold each e_i plainly: a | b exactly
+    when ((b | G) - a) & G == G, G = guards, the top bit of each field.
+    Exponents stay below 2^(FIELD-1): input is checked when keyed, and a
+    product of two in-range terms stays below 2^FIELD (and OFF in degree),
+    so the reducer sees a term past the cap by its guard bit."""
+
+    def __init__(self, nvars: int, kind: str):
+        bits = FIELD * nvars
+        lex = kind == "lex"
+        self.low = (1 << bits) - 1
+        self.guards = self.low // ((1 << FIELD) - 1) << (FIELD - 1)
+        off = 0 if lex else nvars << FIELD
+        self.cshift = bits + off.bit_length()
+        self.base = off << bits
+        self.dweight = 0 if lex else 1 << bits
+        self.flip = self.low if lex else 0
+        self.byteorder = "big" if lex else "little"
+        # signed fields: packing an exponent of 2^31 or more fails
+        self.struct = Struct(("<", ">")[lex] + "i" * nvars)
+
+    def key(self, comp: int, exps: Exponents) -> int:
+        fields = int.from_bytes(self.struct.pack(*exps), self.byteorder) ^ self.flip
+        return (comp << self.cshift) + self.base + fields - sum(exps) * self.dweight
+
+    def terms(self, e: FreeElement) -> list:
+        """[(K, coeff), ...] of e, leading first; key's formula inlined,
+        since every tower step keys its input."""
+        pack, order, flip, dw = self.struct.pack, self.byteorder, self.flip, self.dweight
+        out = []
+        try:
+            for j, poly in enumerate(e.components):
+                b = (j << self.cshift) + self.base
+                out += [
+                    (b + (int.from_bytes(pack(*x), order) ^ flip) - sum(x) * dw, c)
+                    for x, c in poly.terms
+                ]
+        except StructError:
+            raise ResourceLimit(PAST_CAP) from None
+        return out
+
+    def decode(self, K: int) -> tuple[int, Exponents]:
+        """(comp, exponents) of a term key."""
+        d = (K ^ self.flip) & self.low
+        return K >> self.cshift, self.struct.unpack(d.to_bytes(self.struct.size, self.byteorder))
+
+    def element(self, terms, ring: PolyRing, rank: int) -> FreeElement:
+        """The element of an engine term list, whose order is canonical."""
+        comps: list[list] = [[] for _ in range(rank)]
+        for K, c in terms:
+            j, exps = self.decode(K)
+            comps[j].append((exps, c))
+        return FreeElement(tuple(Polynomial(ring, tuple(t)) for t in comps))
 
 
-def _terms_to_element(terms, ring: PolyRing, rank: int) -> FreeElement:
-    """The engine's term lists are sorted leading-first with coefficients in
-    [1, p), so each component is already in canonical order."""
-    comps: list[list] = [[] for _ in range(rank)]
-    for _, j, exps, c in terms:
-        comps[j].append((exps, c))
-    return FreeElement(tuple(Polynomial(ring, tuple(t)) for t in comps))
-
-
-def _monic_terms(terms, p: int):
-    lead = terms[0][3]
-    if lead == 1:
-        return terms
-    inv = pow(lead, p - 2, p)
-    return [(k, j, e, c * inv % p) for k, j, e, c in terms]
+# one immutable layout per (nvars, order kind), built on first use
+_keys = cache(_Keys)
 
 
 class _Packing:
@@ -187,14 +220,13 @@ class _Packing:
     the top 64-bit word of a slot holds the most significant fields;
     `slot_guards` is `guards` moved up to `at`."""
 
-    __slots__ = ("w", "cap", "shifts", "caps", "guards", "slot", "at", "slot_guards")
+    __slots__ = ("w", "cap", "shifts", "guards", "slot", "at", "slot_guards")
 
     def __init__(self, nvars: int, w: int):
         step = w + 1
         self.w = w
         self.cap = (1 << w) - 1
         self.shifts = tuple(range(0, nvars * step, step))
-        self.caps = (self.cap,) * nvars
         self.guards = sum(map(lshift, (1 << w,) * nvars, self.shifts))
         self.slot = ((nvars * step + 1) // 64 + 1) * 64
         self.at = self.slot - 1 - nvars * step
@@ -205,13 +237,6 @@ class _Packing:
 
     def pack(self, exps: Exponents) -> int:
         """Every field must fit in w bits."""
-        return sum(map(lshift, exps, self.shifts))
-
-    def pack_clamped(self, exps: Exponents) -> int:
-        """Fields past 2^w - 1 are cut to it. Every packed lead fits, so
-        no lead's divides answer against the query changes."""
-        if exps and max(exps) > self.cap:
-            exps = map(min, exps, self.caps)
         return sum(map(lshift, exps, self.shifts))
 
     def unpack(self, m: int) -> Exponents:
@@ -241,13 +266,9 @@ def _check_deadline(deadline: float | None):
 class _Reducer:
     """Shared reduction state: basis elements bucketed by leading component.
 
-    Element i is the monic term list elements[i], and its lead is
-    elements[i][0]. Each lead is also packed under `packing`; a lead that
-    does not fit re-packs every lead at its width. The divisor scan in
-    reduce packs the popped term once and tests each live lead of its
-    component with one subtraction and a mask, so a pop costs from a
-    microsecond to about 0.1 ms (a full scan of 1,125 leads, where the
-    tuple scan took 1.2 ms).
+    Element i is the monic term list elements[i], and divs[i] holds its
+    lead's divisor bits: the divisor scan in reduce tests each live lead
+    of the popped term's component with one subtraction and a mask.
 
     `live[j]` is the one record of component j's live elements, in scan
     order: single-term elements first, then the others in index order. A
@@ -257,49 +278,47 @@ class _Reducer:
     can be found first and push its tail, which cost about 3% more heap
     pops over the corpus runs.
 
-    A deadline (a time.monotonic() value) makes every reduction stop with
-    ResourceLimit once it has passed, checked every 16 heap pops counted
-    across reductions, so many short reductions are covered too.
+    Every 16 heap pops, counted across reductions, a reduction stops with
+    ResourceLimit once the deadline (a time.monotonic() value) has passed
+    or it holds more than MAX_TERMS live terms.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, deadline: float | None, width: int):
+    def __init__(self, ring: PolyRing, rank: int, deadline: float | None):
         self.ring = ring
         self.rank = rank
         self.deadline = deadline
         self.steps = 0
-        self.packing = _packing(ring.nvars, width)
+        self.keys = _keys(ring.nvars, ring.order.kind)
         self.elements: list[list] = []  # term lists, monic
-        self.packed: list[int] = []  # lead exponents under self.packing
+        self.divs: list[int] = []  # each lead's divisor bits
         self.live: list[list[int]] = [[] for _ in range(rank)]
 
     def add(self, terms) -> int:
         idx = len(self.elements)
-        terms = _monic_terms(terms, self.ring.p)
+        p = self.ring.p
+        if terms[0][1] != 1:
+            inv = pow(terms[0][1], p - 2, p)
+            terms = [(K, c * inv % p) for K, c in terms]
         self.elements.append(terms)
-        _, j, exps, _ = terms[0]
-        if not self.packing.fits(exps):
-            self.packing = _packing(len(exps), _width([exps]))
-            self.packed = [self.packing.pack(t[0][2]) for t in self.elements[:-1]]
-        self.packed.append(self.packing.pack(exps))
-        if len(terms) == 1:
-            self.live[j].insert(0, idx)
-        else:
-            self.live[j].append(idx)
+        K = terms[0][0]
+        self.divs.append((K ^ self.keys.flip) & self.keys.low)
+        live = self.live[K >> self.keys.cshift]
+        live.insert(0 if len(terms) == 1 else len(live), idx)
         return idx
 
     def kill(self, idx: int):
-        self.live[self.elements[idx][0][1]].remove(idx)
+        self.live[self.elements[idx][0][0] >> self.keys.cshift].remove(idx)
 
-    def reduce(self, work: dict, heap: list):
-        """Full normal form of the work dict; returns canonical term list."""
-        p, order = self.ring.p, self.ring.order
-        elements = self.elements
-        # no element is added or killed during a reduction, so the packing
-        # and the scan lists hold for all of it
-        pack_query = self.packing.pack_clamped
-        G = self.packing.guards
-        packed = self.packed
-        live = self.live
+    def reduce(self, work: dict):
+        """Full normal form of the work dict {K: coeff}; returns the
+        canonical term list."""
+        heap = list(work)
+        heapq.heapify(heap)
+        p = self.ring.p
+        keys = self.keys
+        flip, low, G, cshift = keys.flip, keys.low, keys.guards, keys.cshift
+        # no element is added or killed during a reduction
+        elements, divs, live = self.elements, self.divs, self.live
         out = []
         pop = heapq.heappop
         push = heapq.heappush
@@ -307,35 +326,34 @@ class _Reducer:
         while heap:
             steps += 1
             if steps & 15 == 0:
-                self.steps = steps  # kept when the deadline stops the reduction
+                self.steps = steps  # kept when a cap stops the reduction
                 _check_deadline(self.deadline)
-            key, comp, exps = pop(heap)
-            c = work.get((comp, exps))
+                if len(work) + len(out) > MAX_TERMS:
+                    raise ResourceLimit(f"one reduction passed {MAX_TERMS} live terms")
+            K = pop(heap)
+            c = work.pop(K, 0)
             if not c:
                 continue
-            q = pack_query(exps) | G
-            for ridx in live[comp]:
-                if (q - packed[ridx]) & G == G:
+            d = (K ^ flip) & low
+            if d & G:
+                raise ResourceLimit(PAST_CAP)
+            q = d | G
+            for ridx in live[K >> cshift]:
+                if (q - divs[ridx]) & G == G:
                     break
             else:
-                out.append((key, comp, exps, c))
-                del work[(comp, exps)]
+                out.append((K, c))
                 continue
             rterms = elements[ridx]
-            _, _, rexps, _ = rterms[0]
-            shift = tuple(map(sub, exps, rexps))
-            del work[(comp, exps)]
             if len(rterms) == 1:
                 continue
-            mkey = _term_key(order, 0, shift)
-            for tkey, tj, texps, tc in rterms[1:]:
-                target = (tj, tuple(map(add, texps, shift)))
+            shift = K - rterms[0][0]
+            for tK, tc in rterms[1:]:
+                target = tK + shift
                 prev = work.get(target)
                 if prev is None:
-                    val = -c * tc % p
-                    if val:
-                        work[target] = val
-                        push(heap, (tuple(map(add, tkey, mkey)), target[0], target[1]))
+                    work[target] = -c * tc % p
+                    push(heap, target)
                 else:
                     val = (prev - c * tc) % p
                     if val:
@@ -345,37 +363,18 @@ class _Reducer:
         self.steps = steps
         return out
 
-    def normal_form_terms(self, terms):
-        work = {}
-        heap = []
-        for key, j, exps, c in terms:
-            work[(j, exps)] = c
-            heap.append((key, j, exps))
-        heapq.heapify(heap)
-        return self.reduce(work, heap)
-
     def spoly_terms(self, i: int, j: int, lcm: Exponents):
         """S-vector of two monic elements with equal leading component,
         whose leads have the lcm given."""
         ti, tj = self.elements[i], self.elements[j]
-        si = tuple(map(sub, lcm, ti[0][2]))
-        sj = tuple(map(sub, lcm, tj[0][2]))
-        p, order = self.ring.p, self.ring.order
-        work: dict = {}
-        for _, tc_, texps, tcoef in ti[1:]:
-            target = (tc_, tuple(map(add, texps, si)))
-            work[target] = (work.get(target, 0) + tcoef) % p
-        for _, tc_, texps, tcoef in tj[1:]:
-            target = (tc_, tuple(map(add, texps, sj)))
-            work[target] = (work.get(target, 0) - tcoef) % p
-        heap = []
-        dead = [t for t, c in work.items() if c == 0]
-        for t in dead:
-            del work[t]
-        for (jc, exps) in work:
-            heap.append((_term_key(order, jc, exps), jc, exps))
-        heapq.heapify(heap)
-        return work, heap
+        klcm = self.keys.key(ti[0][0] >> self.keys.cshift, lcm)
+        si, sj = klcm - ti[0][0], klcm - tj[0][0]
+        p = self.ring.p
+        work = {tK + si: tc for tK, tc in ti[1:]}
+        for tK, tc in tj[1:]:
+            target = tK + sj
+            work[target] = (work.get(target, 0) - tc) % p
+        return {K: c for K, c in work.items() if c}
 
 
 def _join(values, slot: int) -> int:
@@ -502,10 +501,11 @@ class _PairUpdate:
     Criteria M and F over the fewer candidates keep every tailed pair the
     full rounds keep, and a few more, which then reduce to zero."""
 
-    def __init__(self, red: _Reducer):
+    def __init__(self, red: _Reducer, width: int):
         self.red = red
         self.ideal = red.rank == 1
-        self.packing = red.packing
+        self.packing = _packing(red.ring.nvars, width)
+        self.packed: list[int] = []  # each element's lead under packing
         # each component's slots, made on its first lead
         self.leads: list = [None] * red.rank
         self.pairs: list = [None] * red.rank
@@ -517,17 +517,18 @@ class _PairUpdate:
         heap = self.heap
         while heap:
             _, key, _, _, s, pair = heapq.heappop(heap)
-            pairs = self.pairs[key[0]]
+            pairs = self.pairs[key >> self.red.keys.cshift]
             if pairs.owners[s] is pair:
                 pairs.drop(s)
                 return pair
         return None
 
-    def _repack(self):
-        """h outgrew the fields: every lead and queued lcm moves to the
-        new width, in the same slots."""
-        packing = self.packing = self.red.packing
-        packed = self.red.packed
+    def _repack(self, exps: Exponents):
+        """A lead of exps outgrew the fields: every lead and queued lcm
+        moves to the new width, in the same slots."""
+        old = self.packing
+        packing = self.packing = _packing(len(exps), _width([exps]))
+        packed = self.packed = [packing.pack(old.unpack(m)) for m in self.packed]
         for leads in filter(None, self.leads):
             leads.repack(packing, [
                 0 if g is None else packed[g] << packing.at for g in leads.owners
@@ -543,11 +544,12 @@ class _PairUpdate:
         elements whose lead lt_h divides, and queue the new pairs (g, h)
         criteria M and F keep."""
         red = self.red
-        if red.packing is not self.packing:
-            self._repack()
+        comp, exps = red.keys.decode(red.elements[h][0][0])
+        if not self.packing.fits(exps):
+            self._repack(exps)
         S, at, w, G = self.packing.slot, self.packing.at, self.packing.w, self.packing.guards
-        comp = red.elements[h][0][1]
-        packed = red.packed
+        packed = self.packed
+        packed.append(self.packing.pack(exps))
         ph = packed[h]
         at_h = ph << at
         if self.leads[comp] is None:
@@ -601,7 +603,7 @@ class _PairUpdate:
             lcm = self.packing.unpack(entry >> at)
             pair = (g, h, lcm)
             s = pairs.put(entry, pair)
-            heapq.heappush(self.heap, (sum(lcm), _term_key(red.ring.order, comp, lcm), g, h, s, pair))
+            heapq.heappush(self.heap, (sum(lcm), red.keys.key(comp, lcm), g, h, s, pair))
 
     def _tailed_pairs(self, h: int, comp: int) -> list[tuple[int, int]]:
         """Criteria M and F for a single-term h, one pair at a time over
@@ -610,7 +612,7 @@ class _PairUpdate:
         Returns the pairs to queue as (g, lcm moved up to packing.at),
         least first."""
         red = self.red
-        elements, packed = red.elements, red.packed
+        elements, packed = red.elements, self.packed
         G, w, at = self.packing.guards, self.packing.w, self.packing.at
         ph = packed[h]
         candidates = []
@@ -637,7 +639,7 @@ def _reduced_from_engine(red: _Reducer) -> list:
     terms its reduction meets: only the tails need reducing."""
     live = chain.from_iterable(red.live)
     return [
-        [terms[0], *red.normal_form_terms(terms[1:])]
+        [terms[0], *red.reduce(dict(terms[1:]))]
         for terms in map(red.elements.__getitem__, live)
     ]
 
@@ -672,10 +674,10 @@ def _engine(generators, rank, deadline, order=None) -> _Reducer:
     ring = elems[0].ring
     if order is not None and order != ring.order:
         raise OrderMismatch("order differs from the ring order")
-    inputs = [_element_terms(e) for e in elems if not e.is_zero()]
-    width = _width(exps for terms in inputs for _, _, exps, _ in terms)
-    red = _Reducer(ring, rank, deadline, width)
-    update = _PairUpdate(red)
+    red = _Reducer(ring, rank, deadline)
+    inputs = [red.keys.terms(e) for e in elems if not e.is_zero()]
+    width = _width(exps for e in elems for c in e.components for exps, _ in c.terms)
+    update = _PairUpdate(red, width)
 
     def add_element(terms):
         if len(red.elements) >= MAX_BASIS:
@@ -683,16 +685,12 @@ def _engine(generators, rank, deadline, order=None) -> _Reducer:
         update.add(red.add(terms))
 
     for terms in inputs:
-        r = red.normal_form_terms(terms)
-        if r:
+        if r := red.reduce(dict(terms)):
             add_element(r)
     while pair := update.pop():
         _check_deadline(deadline)
-        work, heap = red.spoly_terms(*pair)
-        if work:
-            r = red.reduce(work, heap)
-            if r:
-                add_element(r)
+        if r := red.reduce(red.spoly_terms(*pair)):
+            add_element(r)
     return red
 
 
@@ -709,7 +707,7 @@ def buchberger(
     red = _engine(generators, rank, deadline, order)
     final = _reduced_from_engine(red)
     final.sort(key=lambda terms: terms[0][0])
-    elements = tuple(_terms_to_element(t, red.ring, red.rank) for t in final)
+    elements = tuple(red.keys.element(t, red.ring, red.rank) for t in final)
     return GroebnerBasis(elements, red.rank, red.ring)
 
 
@@ -718,15 +716,13 @@ def _live_leads(generators, rank: int, deadline: float | None = None) -> list[li
     lead divides another, so they are the leads of the reduced basis, and
     the count needs nothing else."""
     red = _engine(generators, rank, deadline)
-    return [[red.elements[g][0][2] for g in live] for live in red.live]
+    return [[red.keys.decode(red.elements[g][0][0])[1] for g in live] for live in red.live]
 
 
 def _loaded_reducer(G: GroebnerBasis, deadline: float | None = None) -> _Reducer:
-    elements = [_element_terms(e) for e in G.elements]
-    # sized from the leads: queries wider than them are clamped, not re-packed
-    red = _Reducer(G.ring, G.rank, deadline, _width(t[0][2] for t in elements))
-    for terms in elements:
-        red.add(terms)
+    red = _Reducer(G.ring, G.rank, deadline)
+    for e in G.elements:
+        red.add(red.keys.terms(e))
     return red
 
 
@@ -744,8 +740,8 @@ def normal_forms(G: GroebnerBasis, deadline: float | None = None):
             raise RankMismatch(f"rank {f.rank} vs basis rank {G.rank}")
         if f.ring != G.ring:
             raise RingMismatch("element and basis over different rings")
-        out = red.normal_form_terms(_element_terms(f))
-        result = _terms_to_element(out, G.ring, G.rank)
+        out = red.reduce(dict(red.keys.terms(f)))
+        result = red.keys.element(out, G.ring, G.rank)
         return result.components[0] if wrap else result
 
     return nf

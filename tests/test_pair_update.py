@@ -138,21 +138,21 @@ def test_batched_update_keeps_the_pairs_of_the_per_pair_loop(case):
     a live lead divides is never added."""
     rank, nvars, width, ops = case
     R = ring("a b c d"[: 2 * nvars - 1], 2)
-    red = groebner._Reducer(R, rank, None, width)
-    update = groebner._PairUpdate(red)
+    red = groebner._Reducer(R, rank, None)
+    update = groebner._PairUpdate(red, width)
     ref = ReferenceUpdate(rank)
 
     def engine_key(gh):
         g, h = gh
         lcm = ref.pairs[gh]
-        return sum(lcm), groebner._term_key(R.order, ref.lead[h][0], lcm), g, h
+        return sum(lcm), red.keys.key(ref.lead[h][0], lcm), g, h
 
     for kind, comp, exps, tail in ops:
         if kind == "add":
             if any(monomial_divides(ref.lead[g][1], exps) for g in ref.live[comp]):
                 continue
             monos = [exps, (0,) * nvars] if tail and any(exps) else [exps]
-            update.add(red.add([(groebner._term_key(R.order, comp, e), comp, e, 1) for e in monos]))
+            update.add(red.add([(red.keys.key(comp, e), 1) for e in monos]))
             ref.add(comp, exps, len(monos) == 1)
         elif ref.pairs:
             least = min(ref.pairs, key=engine_key)
