@@ -204,9 +204,7 @@ def sample_hk(
         except ResourceLimit as exc:
             skipped = f"sample n={n} skipped: {exc}"
             if not rows:
-                raise ResourceLimit(
-                    f"no samples completed within the time budget; {skipped}"
-                ) from exc
+                raise ResourceLimit(f"no samples completed; {skipped}") from exc
             notes.append(skipped)
             if n < n_max:
                 notes.append(f"series truncated at n={n} to keep n consecutive")

@@ -10,10 +10,20 @@ keyed on input and decoded on output only.
 
 Divisibility and lcm run on packed exponent vectors, one int each, every
 variable a field with a guard bit above it: a | b is one subtraction and
-a mask. The divisor scan reads the fields straight out of the keys; the
-pair update and the count pack at a width from the largest exponent
-(_Packing), and a lead that outgrows it re-packs the pair update. The
-tuple helpers in poly.py stay the reference.
+a mask. The reducer's divisor scan reads the fields straight out of the
+keys; the pair update and the count pack at a width from the largest
+exponent (_Packing), and a lead that outgrows it re-packs the pair
+update. The tuple helpers in poly.py stay the reference.
+
+A component with more than INDEX_LEADS live leads drops the scan for a
+divisor index (_DivisorIndex): per variable, the sorted distinct lead
+exponents and, for each, an int of the leads above it, so a popped term
+ORs one int per variable and reads all its divisors at once. It is built
+once from the live leads, kept in step as leads are added and killed,
+and answers as the scan does. It takes O(v * distinct exponents *
+elements) bits, sized by how many exponents differ and never by their
+values; past INDEX_BITS it is rebuilt without its killed leads, or given
+up for the scan.
 
 The pair update (_PairUpdate) goes one step further and works on whole
 components: each component's leads, and the lcms of its queued pairs,
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain
@@ -263,12 +274,103 @@ def _check_deadline(deadline: float | None):
         raise ResourceLimit("time budget exceeded")
 
 
+# a component past this many live leads gets a _DivisorIndex; on the spairs
+# fits any value from 16 to 64 measured alike, and no index took them about
+# 20% longer
+INDEX_LEADS = 32
+# an index past this many bits (its distinct exponents times the element
+# count; 4 MB) is rebuilt from its live leads, and given up for the scan if
+# it still holds more than half of them; determinantal n=6 peaks at 1.7 M
+INDEX_BITS = 1 << 25
+
+
+class _DivisorIndex:
+    """The live leads of one component, indexed for the divisor test.
+
+    For variable i, vals[i] holds the distinct exponents of x_i among the
+    indexed leads, ascending, and over[i][k] is an int whose bit g is set
+    when lead g's exponent of x_i is at least vals[i][k] (over[i] ends in
+    0). So over[i][bisect_right(vals[i], t_i)] holds the leads whose x_i
+    exponent is above t_i, and the divisors of t are
+
+        live & ~(over[1][...] | ... | over[v][...]).
+
+    `live` and `single` hold the live leads and the live single-term
+    leads. A killed lead only leaves those two, so over keeps its bits and
+    values until a rebuild. The index takes at most `distinct` (the count
+    of vals over all variables) times the element count bits, that is
+    O(v * distinct exponents * elements): it is sized by how many
+    exponents differ, never by their values, which reach 5*2^20 on the
+    Frobenius tower."""
+
+    __slots__ = ("fields", "elements", "divs", "vals", "over", "live",
+                 "single", "distinct")
+
+    def __init__(self, red: _Reducer, leads: list[int]):
+        keys = red.keys
+        unpack, size, order = keys.struct.unpack, keys.struct.size, keys.byteorder
+        self.fields = lambda d: unpack(d.to_bytes(size, order))
+        self.elements, self.divs = red.elements, red.divs
+        self.build(leads)
+
+    def build(self, leads: list[int]):
+        """Index these leads from scratch, one sorted pass per variable."""
+        elements = self.elements
+        bits = [1 << g for g in leads]
+        self.live = sum(bits)
+        self.single = sum(b for g, b in zip(leads, bits) if len(elements[g]) == 1)
+        self.vals, self.over = [], []
+        for column in zip(*map(self.fields, (self.divs[g] for g in leads))):
+            vals, over, acc = [], [0], 0
+            for x, bit in sorted(zip(column, bits), reverse=True):
+                acc |= bit
+                if vals and vals[-1] == x:
+                    over[-1] = acc
+                else:
+                    vals.append(x)
+                    over.append(acc)
+            self.vals.append(vals[::-1])
+            self.over.append(over[::-1])
+        self.distinct = sum(map(len, self.vals))
+
+    def add(self, g: int):
+        bit = 1 << g
+        self.live |= bit
+        if len(self.elements[g]) == 1:
+            self.single |= bit
+        for x, vals, over in zip(self.fields(self.divs[g]), self.vals, self.over):
+            k = bisect_left(vals, x)
+            if k == len(vals) or vals[k] != x:
+                vals.insert(k, x)
+                over.insert(k, over[k])
+                self.distinct += 1
+            for j in range(k + 1):
+                over[j] |= bit
+
+    def kill(self, g: int):
+        self.live &= ~(1 << g)
+        self.single &= ~(1 << g)
+
+    def divisor(self, d: int) -> int | None:
+        """The scan's divisor of the term with divisor bits d: None, a live
+        single-term lead if one divides, else the live lead of lowest index
+        that does."""
+        over = 0
+        for x, vals, ov in zip(self.fields(d), self.vals, self.over):
+            over |= ov[bisect_right(vals, x)]
+        hits = self.live & ~over
+        if hits & self.single:
+            hits &= self.single
+        return (hits & -hits).bit_length() - 1 if hits else None
+
+
 class _Reducer:
     """Shared reduction state: basis elements bucketed by leading component.
 
     Element i is the monic term list elements[i], and divs[i] holds its
     lead's divisor bits: the divisor scan in reduce tests each live lead
-    of the popped term's component with one subtraction and a mask.
+    of the popped term's component with one subtraction and a mask, so a
+    term that no lead divides costs a pass over the whole list.
 
     `live[j]` is the one record of component j's live elements, in scan
     order: single-term elements first, then the others in index order. A
@@ -277,6 +379,17 @@ class _Reducer:
     because that exit pushes nothing: in plain index order a general lead
     can be found first and push its tail, which cost about 3% more heap
     pops over the corpus runs.
+
+    A component past INDEX_LEADS live leads gets a _DivisorIndex, built
+    once from its live leads and kept in step by add and kill, of
+    O(v * distinct exponents * elements) bits; its pops read all their
+    divisors at once and keep the scan's rule: none, any single-term one,
+    or else the general one of lowest index. So every trajectory is the
+    scan's. An index past INDEX_BITS bits is rebuilt from the live leads,
+    and if that leaves it above half of them the component goes back to
+    the scan for good, so the index's memory stays bounded. The scan
+    stays for short lists, where it is cheaper: the tower's bases hold
+    1-3 leads, and an index kept there cost a frobenius_tower pass 10-15%.
 
     Every 16 heap pops, counted across reductions, a reduction stops with
     ResourceLimit once the deadline (a time.monotonic() value) has passed
@@ -292,6 +405,8 @@ class _Reducer:
         self.elements: list[list] = []  # term lists, monic
         self.divs: list[int] = []  # each lead's divisor bits
         self.live: list[list[int]] = [[] for _ in range(rank)]
+        # None until a component passes INDEX_LEADS, False once given up
+        self.index: list[_DivisorIndex | bool | None] = [None] * rank
 
     def add(self, terms) -> int:
         idx = len(self.elements)
@@ -302,12 +417,25 @@ class _Reducer:
         self.elements.append(terms)
         K = terms[0][0]
         self.divs.append((K ^ self.keys.flip) & self.keys.low)
-        live = self.live[K >> self.keys.cshift]
+        comp = K >> self.keys.cshift
+        live = self.live[comp]
         live.insert(0 if len(terms) == 1 else len(live), idx)
+        index = self.index[comp]
+        if index:
+            index.add(idx)
+        elif index is None and len(live) > INDEX_LEADS:
+            index = self.index[comp] = _DivisorIndex(self, live)
+        if index and index.distinct * len(self.elements) > INDEX_BITS:
+            index.build(live)  # drops the killed leads' bits and values
+            if index.distinct * len(self.elements) > INDEX_BITS // 2:
+                self.index[comp] = False
         return idx
 
     def kill(self, idx: int):
-        self.live[self.elements[idx][0][0] >> self.keys.cshift].remove(idx)
+        comp = self.elements[idx][0][0] >> self.keys.cshift
+        self.live[comp].remove(idx)
+        if self.index[comp]:
+            self.index[comp].kill(idx)
 
     def reduce(self, work: dict):
         """Full normal form of the work dict {K: coeff}; returns the
@@ -318,7 +446,7 @@ class _Reducer:
         keys = self.keys
         flip, low, G, cshift = keys.flip, keys.low, keys.guards, keys.cshift
         # no element is added or killed during a reduction
-        elements, divs, live = self.elements, self.divs, self.live
+        elements, divs, live, indexes = self.elements, self.divs, self.live, self.index
         out = []
         pop = heapq.heappop
         push = heapq.heappush
@@ -337,13 +465,21 @@ class _Reducer:
             d = (K ^ flip) & low
             if d & G:
                 raise ResourceLimit(PAST_CAP)
-            q = d | G
-            for ridx in live[K >> cshift]:
-                if (q - divs[ridx]) & G == G:
-                    break
+            comp = K >> cshift
+            index = indexes[comp]
+            if not index:
+                q = d | G
+                for ridx in live[comp]:
+                    if (q - divs[ridx]) & G == G:
+                        break
+                else:
+                    out.append((K, c))
+                    continue
             else:
-                out.append((K, c))
-                continue
+                ridx = index.divisor(d)
+                if ridx is None:
+                    out.append((K, c))
+                    continue
             rterms = elements[ridx]
             if len(rterms) == 1:
                 continue

@@ -119,7 +119,7 @@ def test_a_first_sample_failure_reports_its_cause(monkeypatch):
     report = run_problem("compute", pf)
     assert report["error"] == {
         "type": "ResourceLimit",
-        "message": "no samples completed within the time budget; "
+        "message": "no samples completed; "
         "sample n=1 skipped: basis size cap exceeded",
     }
     assert report["samples"] == [] and report["warnings"] == []

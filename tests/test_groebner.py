@@ -4,14 +4,17 @@ import itertools
 import random
 import time
 import unittest.mock
+from dataclasses import replace
 from math import prod
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import load_problem
 from hilbertkunz import groebner
 from hilbertkunz.analysis import sample_hk
+from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import (
     HilbertKunzError,
     NotZeroDimensional,
@@ -41,6 +44,7 @@ from hilbertkunz.poly import (
 from hilbertkunz.presentations import (
     free_module,
     frobenius_relations,
+    length_mod_frobenius,
     maximal_ideal,
     ring_spec,
 )
@@ -325,6 +329,194 @@ def test_live_term_cap_stops_one_reduction(monkeypatch):
     with pytest.raises(ResourceLimit, match="n=1 skipped: one reduction passed 2000 live"):
         sample_hk(maximal_ideal(rs), (free_module(rs, 1),), 1, 1)
     assert time.monotonic() - start < 0.5
+
+
+# -- the divisor index ------------------------------------------------------------
+
+
+def within(index_bits):
+    """Whether an index's ints hold at most index_bits bits in all."""
+    return lambda index: sum(o.bit_length() for ov in index.over for o in ov) <= index_bits
+
+
+@st.composite
+def index_runs(draw):
+    """Ranks 1-2, 1-6 variables, lex or grevlex, and up to 40 steps: add
+    a lead, with a tail half the time, kill a live element, or reduce one
+    term. Exponents reach 2^20, with 0-3 favoured so that leads divide
+    terms often. INDEX_BITS is the default or small enough that indexes
+    are rebuilt and given up."""
+    index_leads = draw(st.integers(0, 3))
+    index_bits = draw(st.one_of(st.just(groebner.INDEX_BITS), st.integers(1, 400)))
+    kind = draw(st.sampled_from(["lex", "grevlex"]))
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 6))
+    comp = st.integers(0, rank - 1)
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 1 << 20))] * nvars)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("add"), comp, exps, st.booleans()),
+        st.tuples(st.just("add"), comp, exps, st.booleans()),
+        st.tuples(st.just("kill"), st.integers(0, 63)),
+        st.tuples(st.just("reduce"), comp, exps),
+    ), max_size=40))
+    return index_leads, index_bits, kind, rank, nvars, ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(index_runs())
+# killing g0 (xy) leaves g1 (x) as the lowest general divisor of x^2 y
+@example((0, groebner.INDEX_BITS, "grevlex", 1, 2, [
+    ("add", 0, (1, 1), True), ("add", 0, (1, 0), True),
+    ("kill", 0), ("reduce", 0, (2, 1)),
+]))
+# x y^0 lies below both stored values of x and of y
+@example((0, groebner.INDEX_BITS, "lex", 1, 2, [
+    ("add", 0, (2, 3), True), ("add", 0, (5, 1), False), ("add", 0, (1, 0), True),
+    ("reduce", 0, (1, 5)), ("reduce", 0, (6, 4)),
+]))
+# x lies below every lead in x: no lead divides x y^7
+@example((0, groebner.INDEX_BITS, "grevlex", 2, 2, [
+    ("add", 0, (2, 1), True), ("add", 0, (3, 0), False), ("reduce", 0, (1, 7)),
+]))
+# at 7 values and 4 elements the index passes 24 bits; rebuilt without
+# the killed xy and x^2 it holds 3 values, and x^2 y finds no divisor
+@example((0, 24, "grevlex", 1, 2, [
+    ("add", 0, (1, 1), True), ("add", 0, (2, 0), True), ("add", 0, (0, 2), True),
+    ("kill", 0), ("kill", 1), ("add", 0, (0, 3), True),
+    ("reduce", 0, (2, 1)), ("reduce", 0, (1, 3)),
+]))
+def test_divisor_index_keeps_the_scan_rule(case):
+    """With the index on every component past INDEX_LEADS (0-3) leads,
+    each heap pop it answers gets the scan's answer, read off the live
+    leads with the tuple helper: no divisor, a single-term one whenever
+    one divides, and otherwise the general divisor of lowest index. A
+    tail is the constant of the last component, so reductions cross
+    components. After every add the ints of each index hold at most
+    INDEX_BITS bits, an index is given up only when one rebuilt from the
+    live leads would hold more than half of them, and its live leads are
+    the component's."""
+    index_leads, index_bits, kind, rank, nvars, ops = case
+    answers = []
+    divisor = groebner._DivisorIndex.divisor
+
+    def recorded(index, d):
+        found = divisor(index, d)
+        answers.append((index, index.fields(d), found))
+        return found
+
+    S = ring(" ".join(f"x{i}" for i in range(nvars)), 7, kind)
+    red = groebner._Reducer(S, rank, None)
+    leads = {}  # live element -> (comp, exps, single)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "INDEX_LEADS", index_leads)
+        mp.setattr(groebner, "INDEX_BITS", index_bits)
+        mp.setattr(groebner._DivisorIndex, "divisor", recorded)
+        for op in ops:
+            if op[0] == "add":
+                _, comp, exps, tail = op
+                terms = [(red.keys.key(comp, exps), 3)]
+                if tail and (comp, any(exps)) != (rank - 1, False):
+                    terms.append((red.keys.key(rank - 1, (0,) * nvars), 1))
+                kept = red.index[comp] is not False
+                leads[red.add(terms)] = (comp, exps, len(terms) == 1)
+                assert all(map(within(index_bits), filter(None, red.index)))
+                if kept and red.index[comp] is False:  # given up: a rebuild is too big
+                    rebuilt = groebner._DivisorIndex(red, red.live[comp])
+                    assert rebuilt.distinct * len(red.elements) > index_bits // 2
+            elif op[0] == "kill" and leads:
+                g = sorted(leads)[op[1] % len(leads)]
+                red.kill(g)
+                del leads[g]
+            elif op[0] == "reduce":
+                answers.clear()
+                red.reduce({red.keys.key(op[1], op[2]): 1})
+                for index, exps, found in answers:
+                    comp = red.index.index(index)
+                    hits = [
+                        (not single, g) for g, (c, e, single) in leads.items()
+                        if c == comp and monomial_divides(e, exps)
+                    ]
+                    if not hits:
+                        assert found is None
+                    elif min(hits)[0]:  # only general leads divide
+                        assert found == min(hits)[1]
+                    else:
+                        assert (False, found) in hits
+    for comp, index in enumerate(red.index):
+        live = [g for g, (c, _, _) in leads.items() if c == comp]
+        if index is None:
+            assert len(live) <= index_leads
+        elif index:
+            assert index.live == sum(1 << g for g in live)
+            assert index.single == sum(1 << g for g in live if leads[g][2])
+
+
+def _engine_runs(index_leads, index_bits=groebner.INDEX_BITS):
+    """The element lists of every engine run behind a few samples and a
+    lex basis, with INDEX_LEADS and INDEX_BITS at the values given, and
+    the state each component's index ended in. Every add is checked to
+    leave the ints of each index within INDEX_BITS bits."""
+    runs = []
+    engine, add = groebner._engine, groebner._Reducer.add
+
+    def recorded(*args, **kwargs):
+        red = engine(*args, **kwargs)
+        runs.append((red.rank, red.elements, [
+            "scan" if i is None else "index" if i else "given up" for i in red.index
+        ]))
+        return red
+
+    def bounded(red, terms):
+        idx = add(red, terms)
+        assert all(map(within(index_bits), filter(None, red.index)))
+        return idx
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "INDEX_LEADS", index_leads)
+        mp.setattr(groebner, "INDEX_BITS", index_bits)
+        mp.setattr(groebner, "_engine", recorded)
+        mp.setattr(groebner._Reducer, "add", bounded)
+        for stem in ("determinantal", "hanmonsky", "omega"):
+            run_problem("compute", replace(load_problem(stem), n_min=2, n_max=2))
+        S = ring("x y z", 7, "lex")
+        buchberger(polys(S, "x^2 + y*z + 1", "y^2 + x*z + 2", "z^2 + x*y + 3"))
+    return runs
+
+
+def test_divisor_index_keeps_the_engine_trajectory():
+    """The index on every component, past 4 leads, or on none: every
+    engine run makes the same elements in the same order, rank-2 omega
+    and lex included."""
+    on = _engine_runs(0)
+    some = _engine_runs(4)
+    off = _engine_runs(groebner.MAX_BASIS)
+    assert [r[:2] for r in on] == [r[:2] for r in some] == [r[:2] for r in off]
+    assert any(rank == 2 for rank, _, _ in on)
+    assert {s for _, _, states in on for s in states} == {"index"}
+    assert {s for _, _, states in off for s in states} == {"scan"}
+
+
+def test_divisor_index_memory_is_capped():
+    """With INDEX_BITS small, indexes are rebuilt and given up for the
+    scan mid-run, stay within the cap after every add, and every engine
+    run still makes the same elements."""
+    capped = _engine_runs(0, 400)
+    assert [r[:2] for r in capped] == [r[:2] for r in _engine_runs(groebner.MAX_BASIS)]
+    states = {s for _, _, states in capped for s in states}
+    assert states == {"index", "given up"}
+
+
+def test_divisor_index_is_sized_by_distinct_exponents(monkeypatch):
+    """The quintic's tower reaches exponents of 5*2^20 on bases of 1-3
+    leads; with the index forced on every one the series up to q = 2^20
+    stays fast, as it would not with storage indexed by exponent value."""
+    monkeypatch.setattr(groebner, "INDEX_LEADS", 0)
+    rs = ring_spec("x y", 2, ["x^5 + y^5"])
+    module, ideal = free_module(rs, 1), maximal_ideal(rs)
+    start = time.monotonic()
+    lengths = [length_mod_frobenius(module, ideal, n) for n in range(1, 21)]
+    assert time.monotonic() - start < 0.5
+    assert lengths == [5 * 2**n - (2**n % 5) * (5 - 2**n % 5) for n in range(1, 21)]
 
 
 @st.composite
