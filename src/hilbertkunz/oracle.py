@@ -4,18 +4,21 @@ Counts the monomials of degree <= d outside the span of all relation
 multiples u * g of degree <= d. One Macaulay system grows with d, degree by
 degree as in Lazard (1983): rows are numbered by degree first, so bound d
 keeps its rows, columns and pivots at d + 1 and adds only the degree-d rows
-and the columns with |u| = d - deg g. Exists to validate the Groebner
-pipeline on small instances, not to be fast. Elimination is pure Python,
-on sparse {row: coefficient} columns over F_p.
+and the columns with |u| = d - deg g. Each row (component j, exponent e)
+is looked up by one int key, with a field per variable and the component
+above them, that is additive under multiplication: the row of u * term is
+rows[key(term) + key(u)]. The fields are sized from CELL_CAP, which every
+system passes before its first row is built. Exists to validate the
+Groebner pipeline on small instances, not to be fast. Elimination is pure
+Python, on sparse {row: coefficient} columns over F_p, against pivots
+stored as (row, coefficient) lists without their top entry.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import product
-from math import comb
-from operator import add
+from math import comb, prod
 from typing import NamedTuple
 
 from .errors import HilbertKunzError, MatrixTooLarge
@@ -32,6 +35,8 @@ def _monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
     """All exponent tuples of total degree exactly degree, in a fixed order."""
     if nvars == 0:
         return ((),) if degree == 0 else ()
+    if nvars == 1:
+        return ((degree,),) if degree >= 0 else ()
     return tuple(
         (k, *rest) for k in range(degree, -1, -1)
         for rest in _monomials_of_degree(nvars - 1, degree - k)
@@ -62,23 +67,54 @@ def _nonzero_relations(relations, rank: int, p: int):
     return rels, ring.nvars
 
 
-def _columns(multiples, row_index) -> list[dict[int, int]]:
-    """One {row: coefficient} column u * relation, written in the rows of
-    row_index, per (relation, multipliers) pair of multiples and multiplier
-    u. A term whose monomial has no row is dropped; that is the box filter
-    of exact_box_count, and never happens in a MacaulaySystem. Distinct
-    terms of a relation shift to distinct rows."""
+def _key_width() -> int:
+    """Bits per exponent field of a row key, read when a system is built.
+    Every system passes _check_size before it keys a row, so each keyed
+    exponent, and the sum of two of them that a lookup forms, is below
+    2 * CELL_CAP: no field carries into the next."""
+    return CELL_CAP.bit_length() + 1
+
+
+def _key(e: Exponents, width: int) -> int:
+    """The row key of exponent e: one width-bit field per variable, so
+    _key(e) + _key(u) == _key(e + u) while no field carries. Component j
+    adds j << (width * nvars)."""
+    return sum(k << (width * i) for i, k in enumerate(e))
+
+
+@lru_cache(maxsize=256)
+def _keys(nvars: int, degree: int, width: int) -> tuple[int, ...]:
+    """The keys of _monomials_of_degree(nvars, degree), in its order."""
+    return tuple(_key(m, width) for m in _monomials_of_degree(nvars, degree))
+
+
+def _box_keys(box, width: int) -> list[int]:
+    """The keys of the exponents below box, in itertools.product order."""
+    keys = [0]
+    for i, b in enumerate(box):
+        keys = [k + (a << (width * i)) for k in keys for a in range(b)]
+    return keys
+
+
+def _add_rows(rows: dict[int, int], base: int, keys) -> None:
+    """Number the rows base + k, k in keys, after those already in rows."""
+    n = len(rows)
+    rows.update(zip(map(base.__add__, keys), range(n, n + len(keys))))
+
+
+def _columns(multiples, rows: dict[int, int]) -> list[dict[int, int]]:
+    """One {row: coefficient} column u * relation per (terms, multiplier
+    keys) pair of multiples and multiplier key u, where terms are the
+    relation's (row key, coefficient) pairs. A term whose shifted key has
+    no row is dropped; that is the box filter of exact_box_count, and never
+    happens in a MacaulaySystem. Distinct terms of a relation shift to
+    distinct rows."""
     cols = []
-    for comps, mults in multiples:
-        entries = [
-            (j, e, c)
-            for j, poly in enumerate(comps)
-            for e, c in poly.terms
-        ]
+    for terms, mults in multiples:
         for u in mults:
             col = {}
-            for j, e, c in entries:
-                row = row_index.get((j, tuple(map(add, e, u))))
+            for k, c in terms:
+                row = rows.get(k + u)
                 if row is not None:
                     col[row] = c
             cols.append(col)
@@ -86,29 +122,31 @@ def _columns(multiples, row_index) -> list[dict[int, int]]:
 
 
 def _check_size(n_rows: int, n_cols: int) -> None:
-    if n_cols > MAX_COLUMNS or n_rows * n_cols > CELL_CAP:
+    """A system with no columns counts as one column, so the row count
+    alone is capped too."""
+    if n_cols > MAX_COLUMNS or n_rows * max(n_cols, 1) > CELL_CAP:
         raise MatrixTooLarge(
             f"{n_rows} x {n_cols} exceeds the configured oracle limits"
         )
 
 
-def _rank(pivots: dict[int, dict[int, int]], columns: list[dict[int, int]],
-          p: int) -> int:
-    """Extend pivots, {top row: column}, by eliminating the sparse {row:
-    coefficient} columns, with coefficients in [1, p), on their top rows;
-    return the rank, len(pivots). Stored pivot columns are scaled to 1 at
-    their pivot."""
+def _rank(pivots: dict[int, list[tuple[int, int]]],
+          columns: list[dict[int, int]], p: int) -> int:
+    """Extend pivots by eliminating the sparse {row: coefficient} columns,
+    with coefficients in [1, p), on their top rows; return the rank,
+    len(pivots). The columns are consumed. A pivot is stored under its top
+    row as the (row, coefficient) pairs of the rest of its column, scaled
+    so that the top entry, which is left out, is 1."""
     for col in columns:
-        col = dict(col)
         while col:
             top = max(col)
+            f = col.pop(top)
             pivot = pivots.get(top)
             if pivot is None:
-                inv = pow(col[top], p - 2, p)
-                pivots[top] = {r: c * inv % p for r, c in col.items()}
+                inv = pow(f, p - 2, p)
+                pivots[top] = [(r, c * inv % p) for r, c in col.items()]
                 break
-            f = col[top]
-            for r, c in pivot.items():
+            for r, c in pivot:
                 v = (col.get(r, 0) - f * c) % p
                 if v:
                     col[r] = v
@@ -136,30 +174,41 @@ class MacaulaySystem:
         self.degree_bound = -1
         self.n_rows = self.n_cols = self.rank = self.count = 0
         self.counts: list[int] = []
-        self._rows: dict[tuple[int, Exponents], int] = {}
-        self._pivots: dict[int, dict[int, int]] = {}
+        self._width = _key_width()
+        self._shift = self._width * self.nvars
+        # (degree, [(row key, coefficient)]) per relation
+        self._terms = [
+            (deg, [
+                ((j << self._shift) + _key(e, self._width), c)
+                for j, poly in enumerate(comps)
+                for e, c in poly.terms
+            ])
+            for deg, comps in self.relations
+        ]
+        self._rows: dict[int, int] = {}
+        self._pivots: dict[int, list[tuple[int, int]]] = {}
 
     def grow(self, degree_bound: int) -> None:
         """Grow to degree_bound, one bound at a time. The limits are checked
         once, on the system at degree_bound, before anything grows, so a
         MatrixTooLarge names that system and leaves this one as it was."""
-        v = self.nvars
+        v, width, rows = self.nvars, self._width, self._rows
         _check_size(
             self.components * comb(degree_bound + v, v),
             sum(comb(degree_bound - deg + v, v)
                 for deg, _ in self.relations if deg <= degree_bound),
         )
         for d in range(self.degree_bound + 1, degree_bound + 1):
+            keys = _keys(v, d, width)
             for j in range(self.components):
-                for m in _monomials_of_degree(v, d):
-                    self._rows[(j, m)] = len(self._rows)
+                _add_rows(rows, j << self._shift, keys)
             cols = _columns(
-                [(comps, _monomials_of_degree(v, d - deg))
-                 for deg, comps in self.relations if deg <= d],
-                self._rows,
+                [(terms, _keys(v, d - deg, width))
+                 for deg, terms in self._terms if deg <= d],
+                rows,
             )
             self.rank = _rank(self._pivots, cols, self.p)
-            self.n_rows, self.n_cols = len(self._rows), self.n_cols + len(cols)
+            self.n_rows, self.n_cols = len(rows), self.n_cols + len(cols)
             self.degree_bound, self.count = d, self.n_rows - self.rank
             self.counts.append(self.count)
 
@@ -204,16 +253,25 @@ def exact_box_count(relations, rank: int, p: int) -> int:
             "lacks a single-term pure-power relation"
         )
 
-    row_index: dict[tuple[int, Exponents], int] = {}
-    for j in range(rank):
-        for m in product(*[range(b) for b in box[j]]):
-            row_index[(j, m)] = len(row_index)
     maxb = [max(box[j][i] for j in range(rank)) for i in range(v)]
-    mults = list(product(*[range(b) for b in maxb]))
+    _check_size(sum(prod(b) for b in box), len(rels) * prod(maxb))
 
-    _check_size(len(row_index), len(rels) * len(mults))
-    cols = _columns([(comps, mults) for comps in rels], row_index)
-    return len(row_index) - _rank({}, cols, p)
+    width = _key_width()
+    rows: dict[int, int] = {}
+    for j in range(rank):
+        _add_rows(rows, j << (width * v), _box_keys(box[j], width))
+    # a term outside the box stays outside for every multiplier; dropping
+    # it before keying keeps every keyed exponent below its box
+    mults = _box_keys(maxb, width)
+    multiples = [
+        ([((j << (width * v)) + _key(e, width), c)
+          for j, poly in enumerate(comps)
+          for e, c in poly.terms
+          if all(map(int.__lt__, e, box[j]))],
+         mults)
+        for comps in rels
+    ]
+    return len(rows) - _rank({}, _columns(multiples, rows), p)
 
 
 def _certified(system: MacaulaySystem, relations) -> bool:

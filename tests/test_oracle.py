@@ -163,6 +163,45 @@ def test_matrix_cap(monkeypatch):
         oracle_length(gens, 1, 2, 60)
 
 
+def _no_rows(*args):
+    raise AssertionError("a row was built before the size check")
+
+
+def test_box_count_checks_its_size_before_any_row(monkeypatch):
+    """The 3000 x 3000 box would take seconds to key row by row."""
+    S = ring("x y", 2)
+    monkeypatch.setattr(oracle, "CELL_CAP", 1000)
+    monkeypatch.setattr(oracle, "_box_keys", _no_rows)
+    with pytest.raises(MatrixTooLarge, match="^9000000 x 18000000 "):
+        exact_box_count(polys(S, "x^3000", "y^3000"), 1, 2)
+
+
+def test_a_system_without_columns_is_capped(monkeypatch):
+    """At a bound below every relation's degree the system has rows and no
+    columns; its C(103, 3) rows are capped like one column's."""
+    S = ring("x y z", 2)
+    monkeypatch.setattr(oracle, "CELL_CAP", 1000)
+    monkeypatch.setattr(oracle, "_keys", _no_rows)
+    with pytest.raises(MatrixTooLarge, match="^176851 x 0 "):
+        oracle_length(polys(S, "x^200", "y^200", "z^200"), 1, 2, 100)
+
+
+def test_row_keys_do_not_alias_past_16_bits():
+    """With 16-bit exponent fields x^65537 would alias the row of x*y in
+    the box, and in rank 2 the row of x^65536 e_1 would be that of e_2."""
+    S = ring("x y", 2)
+    assert exact_box_count(polys(S, "x^2", "y^2", "x^65537"), 1, 2) == 4
+    R = ring("x", 2)
+    n = 2**16 + 1
+    (xn,) = polys(R, f"x^{n}")
+    system = MacaulaySystem(
+        [FreeElement((xn, R.zero())), FreeElement((R.zero(), xn))], 2, 2
+    )
+    system.grow(n)
+    # S^2 / (x^n e_1, x^n e_2) has length 2n, and bound n holds all of it
+    assert (system.n_rows, system.rank, system.count) == (2 * n + 2, 2, 2 * n)
+
+
 def test_no_pure_powers_no_certificate():
     S = ring("x y", 2)
     gens = polys(S, "x^2 + y", "y^3")  # no pure power in x
@@ -270,8 +309,15 @@ def column_sets(draw):
 def test_rank_routines_match_row_reduction(case):
     p, columns = case
     expected = reference_rank(columns, p)
-    sparse = [{r: c for r, c in enumerate(col) if c} for col in columns]
-    assert _rank({}, sparse, p) == expected
+    def sparse(cols):
+        return [{r: c for r, c in enumerate(col) if c} for col in cols]
+
+    assert _rank({}, sparse(columns), p) == expected
+    # a second call eliminates against the pivots the first one stored
+    pivots = {}
+    half = len(columns) // 2
+    _rank(pivots, sparse(columns[:half]), p)
+    assert _rank(pivots, sparse(columns[half:]), p) == expected
 
 
 @st.composite
