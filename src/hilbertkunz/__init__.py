@@ -56,7 +56,6 @@ from .analysis import (
     AdditiveErrorReport,
     AlphaEstimate,
     AsymptoticReport,
-    BoundCheck,
     GeometricTail,
     HKSample,
     HKSeries,
@@ -65,8 +64,6 @@ from .analysis import (
     additive_error,
     analyze_module_vs_ring,
     analyze_series,
-    bounded_by_power,
-    check_delta_recursion,
     delta_sequence,
     fit_geometric_tail,
     fit_quasi_polynomial,

@@ -114,19 +114,13 @@ class GeometricTail:
 @dataclass(frozen=True)
 class BoundCheck:
     """|value_n| <= C * q_n^exponent, with C calibrated on the first half
-    of the data and tested on the second half."""
+    of the data and tested on the second half. No report prints it."""
 
     exponent: int
     constant: Fraction
     ratios: tuple[Fraction, ...]
     verdict: bool
     offending_n: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DeltaRecursionReport:
-    residuals: tuple[int, ...]
-    bound: BoundCheck
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class AdditiveErrorRow:
 @dataclass(frozen=True)
 class AdditiveErrorReport:
     rows: tuple[AdditiveErrorRow, ...]
-    bound: BoundCheck  # |e_n| <= C q^{d-1}
+    fit: QuasiPolynomialFit | None  # e_n at degree d-1
 
 
 @dataclass(frozen=True)
@@ -151,10 +145,9 @@ class AsymptoticReport:
     beta: SecondCoefficient | None
     polynomial_fit: QuasiPolynomialFit | None
     geometric_tail: GeometricTail | None
-    tail_classification: str  # polynomial | periodic | geometric | unclassified
     delta_sequence: tuple[int, ...] | None = None
     tau: SecondCoefficient | None = None
-    delta_recursion: DeltaRecursionReport | None = None
+    delta_fit: QuasiPolynomialFit | None = None  # delta_n at degree d-1
     warnings: tuple[str, ...] = ()
 
 
@@ -408,27 +401,13 @@ def bounded_by_power(
     return BoundCheck(exponent, constant, tuple(ratios), not offending, offending)
 
 
-def check_delta_recursion(
-    deltas, p: int, d: int, n_start: int = 1
-) -> DeltaRecursionReport:
-    """Residuals rho_n = delta_{n+1} - p^{d-1} delta_n, bounded by C q^{d-2}."""
-    deltas = list(deltas)
-    if len(deltas) < 2:
-        raise InsufficientSamples("recursion check needs at least 2 deltas")
-    pd1 = p ** (d - 1) if d >= 1 else Fraction(1, p)
-    residuals = [b - pd1 * a for a, b in zip(deltas, deltas[1:])]
-    qs = [p ** (n_start + i) for i in range(len(residuals))]
-    ns = [n_start + i for i in range(len(residuals))]
-    bound = bounded_by_power(residuals, qs, d - 2, ns)
-    return DeltaRecursionReport(tuple(residuals), bound)
-
-
 def additive_error(
     sub: HKSeries, ambient: HKSeries, quotient: HKSeries
 ) -> AdditiveErrorReport:
     """e_n = phi_n(M/N) - phi_n(M) + phi_n(N) for 0 -> N -> M -> M/N -> 0,
     from the series of N, M and M/N (see present_submodule and
-    quotient_presentation). The bound check is |e_n| <= C q^{d-1}."""
+    quotient_presentation). The fit is a verified degree-(d-1) fit of e_n,
+    which proves e_n = O(q^{d-1}) on the samples, or None."""
     _check_aligned(ambient, sub, quotient)
     rows = tuple(
         AdditiveErrorRow(
@@ -437,18 +416,18 @@ def additive_error(
         )
         for a, b, c in zip(sub.samples, ambient.samples, quotient.samples)
     )
-    bound = bounded_by_power(
-        [r.error for r in rows], [r.q for r in rows], ambient.d - 1,
-        [r.n for r in rows],
+    fit = fit_quasi_polynomial(
+        [r.n for r in rows], [r.q for r in rows], [r.error for r in rows],
+        ambient.d - 1,
     )
-    return AdditiveErrorReport(rows, bound)
+    return AdditiveErrorReport(rows, fit)
 
 
 # -- the combined report -------------------------------------------------------
 
 
 def analyze_series(series: HKSeries) -> AsymptoticReport:
-    """Full single-module analysis: alpha, beta, fit, tail classification.
+    """Full single-module analysis: alpha, beta and the shape behind them.
     Its warnings are the analysis's own; the series' notes stay on the
     series."""
     warnings = []
@@ -471,17 +450,11 @@ def analyze_series(series: HKSeries) -> AsymptoticReport:
             limit = Fraction(0)
         beta = SecondCoefficient(tuple(_beta_sequence(series, alpha.extrapolated)), limit)
 
-    classification = {
-        "polynomial_fit": "polynomial",
-        "quasi_polynomial_fit": "periodic",
-        "geometric_tail": "geometric",
-    }.get(alpha.method, "unclassified")
     return AsymptoticReport(
         alpha=alpha,
         beta=beta,
         polynomial_fit=fit,
         geometric_tail=geometric,
-        tail_classification=classification,
         warnings=tuple(warnings),
     )
 
@@ -491,21 +464,20 @@ def analyze_module_vs_ring(
     series_r: HKSeries,
     r: int,
 ) -> AsymptoticReport:
-    """Analysis of M extended with delta, tau, and the recursion check
-    against the rank-r free comparison; flags alpha(M) vs r*alpha(R).
-    The limit of tau is the leading coefficient of a verified degree-(d-1)
-    fit of delta_n, when one exists."""
+    """Analysis of M extended with delta and tau against the rank-r free
+    comparison; flags alpha(M) vs r*alpha(R). delta_fit is a verified
+    degree-(d-1) fit of delta_n, or None, and the limit of tau is its
+    leading coefficient."""
     base = analyze_series(series_m)
     warnings = list(base.warnings)
     deltas = delta_sequence(series_m, series_r, r)
-    p, d = series_m.p, series_m.d
+    d = series_m.d
     ns, qs = [s.n for s in series_m.samples], series_m.qs()
-    tau_fit = fit_quasi_polynomial(ns, qs, deltas, d - 1)
+    delta_fit = fit_quasi_polynomial(ns, qs, deltas, d - 1)
     tau = SecondCoefficient(
         tuple(Fraction(dl) / Fraction(q) ** (d - 1) for dl, q in zip(deltas, qs)),
-        None if tau_fit is None else tau_fit.coefficients[0],
+        None if delta_fit is None else delta_fit.coefficients[0],
     )
-    recursion = check_delta_recursion(deltas, p, d, ns[0])
     alpha_r = analyze_series(series_r).alpha
     expected = r * alpha_r.extrapolated
     got = base.alpha.extrapolated
@@ -518,6 +490,6 @@ def analyze_module_vs_ring(
         base,
         delta_sequence=tuple(deltas),
         tau=tau,
-        delta_recursion=recursion,
+        delta_fit=delta_fit,
         warnings=tuple(warnings),
     )

@@ -3,11 +3,11 @@
 Five subcommands, all reading the same problem-file format:
 
     compute         sample the length function, report the raw table
-    fit             compute + full asymptotic analysis (alpha, beta, tails)
+    fit             compute + full asymptotic analysis (alpha, beta, fit)
     tau             fit for a module measured against the rank-r free module
-    additive-error  e_n table and bound check for 0 -> N -> M -> M/N -> 0
-    oracle-check    cross-check the smallest sample against the dense matrix
-                    elimination oracle
+    additive-error  e_n table and its fit for 0 -> N -> M -> M/N -> 0
+    oracle-check    cross-check the smallest sample with q > 1, if any,
+                    against the dense matrix elimination oracle
 
 Every run prints a single report. In JSON form the top level always has the
 six keys input / samples / analysis / timing / warnings / error, in that
@@ -36,8 +36,8 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     AsymptoticReport,
-    BoundCheck,
     HKSeries,
+    QuasiPolynomialFit,
     SecondCoefficient,
     additive_error,
     analyze_module_vs_ring,
@@ -96,13 +96,18 @@ def _merge_per_n(per_n: dict, series: HKSeries) -> None:
             per_n[key] = round(per_n.get(key, 0.0) + s.seconds, 6)
 
 
-def _bound_dict(bound: BoundCheck) -> dict:
+def _fit_dict(fit: QuasiPolynomialFit | None) -> dict | None:
+    if fit is None:
+        return None
     return {
-        "exponent": bound.exponent,
-        "constant": _frac(bound.constant),
-        "ratios": _frac_list(bound.ratios),
-        "verdict": bound.verdict,
-        "offending_n": list(bound.offending_n),
+        "period": fit.period,
+        "start_n": fit.start_n,
+        # a constant, or its values indexed by n mod period
+        "coefficients": [
+            _frac(c) if isinstance(c, Fraction) else _frac_list(c)
+            for c in fit.coefficients
+        ],
+        "spare_samples": fit.spare_samples,
     }
 
 
@@ -122,22 +127,9 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
             "method": rep.alpha.method,
         },
         "beta": _second_coefficient_dict(rep.beta),
-        "polynomial_fit": None,
+        "polynomial_fit": _fit_dict(rep.polynomial_fit),
         "geometric_tail": None,
-        "tail_classification": rep.tail_classification,
     }
-    fit = rep.polynomial_fit
-    if fit is not None:
-        out["polynomial_fit"] = {
-            "period": fit.period,
-            "start_n": fit.start_n,
-            # a constant, or its values indexed by n mod period
-            "coefficients": [
-                _frac(c) if isinstance(c, Fraction) else _frac_list(c)
-                for c in fit.coefficients
-            ],
-            "spare_samples": fit.spare_samples,
-        }
     if rep.geometric_tail is not None:
         out["geometric_tail"] = {
             "leading": _frac(rep.geometric_tail.leading),
@@ -147,10 +139,7 @@ def _analysis_dict(rep: AsymptoticReport) -> dict:
     if rep.delta_sequence is not None:
         out["delta"] = [str(x) for x in rep.delta_sequence]
         out["tau"] = _second_coefficient_dict(rep.tau)
-        out["delta_recursion"] = {
-            "residuals": [str(x) for x in rep.delta_recursion.residuals],
-            "bound": _bound_dict(rep.delta_recursion.bound),
-        }
+        out["delta_fit"] = _fit_dict(rep.delta_fit)
     return out
 
 
@@ -254,11 +243,12 @@ def run_problem(
                         }
                         for r in rep.rows
                     ],
-                    "bound": _bound_dict(rep.bound),
+                    "fit": _fit_dict(rep.fit),
                 }
         elif subcommand == "oracle-check":
             rs, ideal, module = _build(pf, order)
-            n = pf.n_min
+            # n = 0 (q = 1) gives l(M/IM), which checks nothing
+            n = 1 if pf.n_min == 0 < pf.n_max else pf.n_min
             t_engine = time.monotonic()
             engine = length_mod_frobenius(
                 module, ideal, n, max_seconds=n_max_seconds
@@ -346,8 +336,9 @@ def _parser() -> argparse.ArgumentParser:
         "compute": "sample the length function over the requested n range",
         "fit": "compute plus full asymptotic analysis",
         "tau": "compare a module against the free module of its generic rank",
-        "additive-error": "additivity defect along 0 -> N -> M -> M/N -> 0",
-        "oracle-check": "cross-check the smallest sample against a dense oracle",
+        "additive-error": "additivity defect along 0 -> N -> M -> M/N -> 0, fitted",
+        "oracle-check": "cross-check the smallest sample with q > 1, if any, "
+        "against a dense oracle",
     }
     for name in ("compute", "fit", "tau", "additive-error", "oracle-check"):
         sp = sub.add_parser(name, help=helps[name])

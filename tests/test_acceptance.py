@@ -46,9 +46,9 @@ def test_determinantal_ring_lengths_and_exact_fit(corpus_report):
 
 def test_canonical_module_tau_near_half_and_beta_link(corpus_report):
     """tau of the (u, x) module is exactly 1/2: sampled at n = 0..4,
-    delta_n = 1, 5, 34, 260, 2056 has a verified degree-3 fit (one spare
-    sample) with leading coefficient 1/2. beta of the ring is exactly -1/4,
-    and -tau/2 equals it."""
+    delta_n = 1, 5, 34, 260, 2056 has the verified degree-3 fit q^3/2 + q/2
+    (from n = 0, one spare sample). beta of the ring is exactly -1/4, and
+    -tau/2 equals it."""
     rs = hk.ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
     module = hk.present_submodule(hk.free_module(rs, 1), [["u"], ["x"]])
     series_m, series_r = hk.sample_hk(
@@ -56,6 +56,9 @@ def test_canonical_module_tau_near_half_and_beta_link(corpus_report):
     )
     rep = hk.analyze_module_vs_ring(series_m, series_r, 1)
     assert rep.delta_sequence == (1, 5, 34, 260, 2056)
+    fit = rep.delta_fit
+    assert (fit.period, fit.start_n, fit.spare_samples) == (1, 0, 1)
+    assert fit.coefficients == (F(1, 2), 0, F(1, 2), 0)
     assert rep.tau.limit == F(1, 2)
     ring_report = corpus_report("determinantal", "fit")
     beta = F(ring_report["analysis"]["beta"]["limit"])
@@ -65,8 +68,10 @@ def test_canonical_module_tau_near_half_and_beta_link(corpus_report):
 
 def test_additive_error_bound_calibrated_at_first_sample(corpus_report):
     """For 0 -> (u,v,w) -> R -> R/(u,v,w) -> 0 the deviation of e_n from
-    q^3/2 stays within C q^2, with C calibrated at q=2 only."""
+    q^3/2 stays within C q^2, with C calibrated at q=2 only. The report
+    claims no shape: three samples leave a cubic fit no spare sample."""
     report = corpus_report("additive_error", "additive-error")
+    assert report["analysis"]["fit"] is None
     rows = report["analysis"]["rows"]
     errors = [F(r["error"]) for r in rows]
     qs = [F(r["q"]) for r in rows]
@@ -74,6 +79,22 @@ def test_additive_error_bound_calibrated_at_first_sample(corpus_report):
     constant = abs(errors[0] - qs[0] ** 3 / 2) / qs[0] ** 2
     for e, q in zip(errors[1:], qs[1:]):
         assert abs(e - q**3 / 2) <= constant * q**2
+
+
+def test_additive_error_fit_from_q_1():
+    """Sampled from n = 0, the same sequence earns its shape: e_n = 3, 12,
+    60, 360, 2448 is exactly q^3/2 + 3q^2/2 + q, a degree-(d-1) fit from
+    the first sample with one spare, so e_n = O(q^(d-1)) holds."""
+    rs = hk.ring_spec("u v w x y z", 2, ["v*z + w*y", "w*x + u*z", "u*y + v*x"])
+    ring, gens = hk.free_module(rs, 1), [["u"], ["v"], ["w"]]
+    series = hk.sample_hk(
+        hk.maximal_ideal(rs),
+        (hk.present_submodule(ring, gens), ring, hk.quotient_presentation(ring, gens)),
+        0, 4,
+    )
+    rep = hk.additive_error(*series)
+    assert [r.error for r in rep.rows] == [3, 12, 60, 360, 2448]
+    assert rep.fit == hk.QuasiPolynomialFit(1, 0, (F(1, 2), F(3, 2), 1, 0), 1)
 
 
 def test_quintic_curve_alpha_and_periodic_residues(corpus_report):
@@ -104,7 +125,7 @@ def test_diagonal_quartic_geometric_tail_not_polynomial(corpus_report):
     report = corpus_report("hanmonsky", "fit")
     analysis = report["analysis"]
     assert analysis["polynomial_fit"] is None
-    assert analysis["tail_classification"] == "geometric"
+    assert analysis["alpha"]["method"] == "geometric_tail"
     tail = analysis["geometric_tail"]
     assert tail["ratio"] == 3
     assert tail["coefficient"] == "-107/61"
@@ -118,13 +139,13 @@ def test_engine_agrees_with_oracle_on_200_random_instances():
     assert run_cross_check(seed=14640, count=200) == 0
 
 
-def test_delta_recursion_holds_for_declared_rank_modules(corpus_report):
-    """delta_{n+1} - p^{d-1} delta_n stays within the q^{d-2} envelope for
-    the declared-rank corpus module, and a free module has delta = 0."""
+def test_delta_is_fitted_for_declared_rank_modules(corpus_report):
+    """The corpus module's three deltas fix no degree-(d-1) fit with a
+    spare sample, so its report claims none; a free module has delta = 0,
+    which the fit verifies."""
     report = corpus_report("omega", "tau")
-    rec = report["analysis"]["delta_recursion"]
-    assert rec["residuals"] == ["-6", "-12"]
-    assert rec["bound"]["verdict"] is True
+    assert report["analysis"]["delta"] == ["5", "34", "260"]
+    assert report["analysis"]["delta_fit"] is None
 
     rs = hk.ring_spec("x y", 3)
     ideal = hk.maximal_ideal(rs)
@@ -132,11 +153,9 @@ def test_delta_recursion_holds_for_declared_rank_modules(corpus_report):
     series_m, series_r = hk.sample_hk(
         ideal, (m, hk.free_module(rs, 1)), 1, 4
     )
-    deltas = hk.delta_sequence(series_m, series_r, 2)
-    assert deltas == [0, 0, 0, 0]
-    rep = hk.check_delta_recursion(deltas, p=3, d=2)
-    assert rep.bound.verdict is True
-    assert all(r == 0 for r in rep.residuals)
+    rep = hk.analyze_module_vs_ring(series_m, series_r, 2)
+    assert rep.delta_sequence == (0, 0, 0, 0)
+    assert rep.delta_fit == hk.QuasiPolynomialFit(1, 1, (0, 0), 2)
 
 
 def test_structural_identities_zero_tolerance():

@@ -21,16 +21,15 @@ from hilbertkunz import (
     GeometricTail,
     HKSample,
     HKSeries,
+    QuasiPolynomialFit,
     analyze_module_vs_ring,
     analyze_series,
-    bounded_by_power,
-    check_delta_recursion,
     delta_sequence,
     fit_geometric_tail,
     fit_quasi_polynomial,
     sample_hk,
 )
-from hilbertkunz.analysis import _alpha, _beta_sequence
+from hilbertkunz.analysis import _alpha, _beta_sequence, bounded_by_power
 from hilbertkunz.cli import run_problem
 from hilbertkunz.errors import (
     InsufficientSamples,
@@ -392,7 +391,7 @@ def test_beta_limit_only_from_a_shape_that_fixes_it():
     assert rep.beta.sequence[:2] == (F(-6), F(-4))
 
 
-# -- delta, tau, recursion -------------------------------------------------
+# -- delta, tau and their fit ---------------------------------------------
 
 
 def canonical_vs_ring():
@@ -438,6 +437,7 @@ def test_tau_estimate():
     rep = analyze_module_vs_ring(m, r, 1)
     assert rep.delta_sequence == (1, 5, 34, 260, 2056)
     assert rep.tau.limit == F(1, 2)
+    assert rep.delta_fit.coefficients == (F(1, 2), 0, F(1, 2), 0)
 
 
 def test_tau_needs_two_deltas():
@@ -446,18 +446,20 @@ def test_tau_needs_two_deltas():
         analyze_module_vs_ring(m, m, 1)
 
 
-def test_delta_recursion_passes_for_canonical_deltas():
-    rep = check_delta_recursion([5, 34, 260], p=2, d=4)
-    assert rep.residuals == (-6, -12)
-    assert rep.bound.verdict is True
-    assert rep.bound.offending_n == ()
+CANONICAL_DELTAS = [1, 5, 34, 260, 2056]  # n = 0..4, q^3/2 + q/2
 
 
-def test_delta_recursion_flags_corrupted_entry():
-    rep = check_delta_recursion([5, 34, 500], p=2, d=4)
-    assert rep.residuals == (-6, 228)
-    assert rep.bound.verdict is False
-    assert rep.bound.offending_n == (2,)
+def test_delta_fit_found_for_canonical_deltas():
+    """The deltas are a cubic from the first sample with one spare, so the
+    residuals delta_{n+1} - 8 delta_n = -3q (-6, -12, ... from n = 1) are
+    O(q^{d-2}) with no calibrated constant."""
+    fit = fit_quasi_polynomial(range(5), [2**n for n in range(5)], CANONICAL_DELTAS, 3)
+    assert fit == QuasiPolynomialFit(1, 0, (F(1, 2), 0, F(1, 2), 0), 1)
+
+
+def test_delta_fit_rejects_corrupted_entry():
+    deltas = CANONICAL_DELTAS[:3] + [500] + CANONICAL_DELTAS[4:]
+    assert fit_quasi_polynomial(range(5), [2**n for n in range(5)], deltas, 3) is None
 
 
 def test_bounded_by_power_calibrates_on_first_half():
@@ -474,7 +476,6 @@ def test_bounded_by_power_calibrates_on_first_half():
 
 def test_analyze_polynomial_series():
     rep = analyze_series(make_series(minors_lengths(6), p=2, d=4))
-    assert rep.tail_classification == "polynomial"
     assert (rep.polynomial_fit.period, rep.polynomial_fit.spare_samples) == (1, 1)
     assert rep.alpha.method == "polynomial_fit"
     assert rep.beta.limit == F(-1, 4)
@@ -483,7 +484,6 @@ def test_analyze_polynomial_series():
 
 def test_analyze_periodic_series():
     rep = analyze_series(make_series(quintic_lengths(2, 8), p=2, d=1))
-    assert rep.tail_classification == "periodic"
     assert rep.alpha.extrapolated == F(5)
     assert rep.alpha.method == "quasi_polynomial_fit"
     assert rep.polynomial_fit.period == 2
@@ -491,7 +491,7 @@ def test_analyze_periodic_series():
 
 def test_analyze_geometric_series():
     rep = analyze_series(make_series(quartic_surface_lengths(4), p=5, d=3))
-    assert rep.tail_classification == "geometric"
+    assert rep.alpha.method == "geometric_tail"
     assert rep.geometric_tail.ratio == 3
     assert rep.alpha.extrapolated == F(168, 61)
     assert rep.polynomial_fit is None  # 4 samples leave a cubic no spare
@@ -506,10 +506,10 @@ def test_analyze_withholds_beta_without_pinned_alpha():
 
 def test_two_samples_claim_no_periodic_tail():
     """Two samples fix a line in q with no sample spare, which is no
-    evidence of any shape: the series stays unclassified."""
+    evidence of any shape: alpha stays an estimate."""
     rep = analyze_series(make_series([7, 15], p=2, d=1))
     assert rep.polynomial_fit is None
-    assert rep.tail_classification == "unclassified"
+    assert rep.alpha.method == "refined_sequence"
 
 
 def test_periodic_fit_needs_two_spare_samples():
@@ -519,7 +519,6 @@ def test_periodic_fit_needs_two_spare_samples():
     rep = analyze_series(make_series(quintic_lengths(2, 4), p=2, d=1))
     assert rep.alpha.method == "refined_sequence"
     assert rep.polynomial_fit is None
-    assert rep.tail_classification == "unclassified"
     rep = analyze_series(make_series(quintic_lengths(2, 5), p=2, d=1))
     assert rep.alpha.method == "quasi_polynomial_fit"
     assert rep.polynomial_fit.coefficients == (F(5), (F(-4), F(-6)))
@@ -530,8 +529,7 @@ def test_analyze_module_vs_ring_fields():
     rep = analyze_module_vs_ring(m, r, 1)
     assert rep.delta_sequence == (5, 34, 260)
     assert rep.tau.limit is None
-    assert rep.delta_recursion.residuals == (-6, -12)
-    assert rep.delta_recursion.bound.verdict is True
+    assert rep.delta_fit is None
 
 
 def test_analyze_module_vs_ring_flags_rank_mismatch():
@@ -565,7 +563,7 @@ def test_fit_solves_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "_solve_exact", counting)
     report = run_problem("fit", load_problem("monsky_p7"))
-    assert report["analysis"]["tail_classification"] == "periodic"
+    assert report["analysis"]["alpha"]["method"] == "quasi_polynomial_fit"
     assert calls == [2, 3]
 
 
@@ -808,8 +806,7 @@ def test_split_sequence_has_zero_error():
     assert [row.error for row in rep.rows] == [0, 0, 0]
     assert [row.length_ambient for row in rep.rows] == [8, 32, 128]
     assert [row.length_sub for row in rep.rows] == [4, 16, 64]
-    assert rep.bound.verdict is True
-    assert rep.bound.constant == 0
+    assert rep.fit == QuasiPolynomialFit(1, 1, (0, 0), 1)
 
 
 def test_sequence_generators_must_match_the_cover_rank():

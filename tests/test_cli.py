@@ -296,6 +296,19 @@ def test_main_oracle_check_agrees(tmp_path, capsys):
     assert analysis["agree"] is True
 
 
+def test_oracle_check_skips_the_q_1_sample(tmp_path, capsys):
+    """At n = 0 the length is l(M/IM), which checks nothing, so a range
+    from n = 0 cross-checks n = 1: (x^4, y^6) over F_2 has length 24."""
+    path = write_problem(tmp_path, "p = 2\nvars = x y\nideal = x^2, y^3\nn = 0..1\n")
+    code = main(["oracle-check", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    analysis = report["analysis"]
+    assert (analysis["n"], analysis["q"]) == (1, "2")
+    assert analysis["engine_length"] == "24"
+    assert analysis["agree"] is True
+
+
 def test_main_oracle_check_budget_stops_the_oracle_walk(tmp_path, capsys):
     """The engine finishes (two monomials leave no S-pairs to time), so the
     only thing the budget can stop is the oracle's degree walk."""
